@@ -264,7 +264,8 @@ impl Request {
     }
 
     /// Give the instance a wall-clock completion budget, measured from
-    /// submission. The engine never cancels launched work (queries are
+    /// submission — entry into `submit`, or into `submit_many` for
+    /// every member of a batch. The engine never cancels launched work (queries are
     /// committed once sent, exactly as the paper's Work measure
     /// assumes); the deadline bounds *waiting*, not execution: it is
     /// carried onto the [`Ticket`], where [`Ticket::wait_budgeted`]
@@ -947,20 +948,11 @@ impl EventHub {
         }
     }
 
-    /// Publish one event on `shard`'s lane.
+    /// Publish one event on `shard`'s lane: one lane lock acquisition
+    /// and one wake-up per subscriber. A full subscriber ring loses
+    /// the event (its `dropped` counter ticks); a closed subscriber is
+    /// pruned.
     pub(crate) fn publish(&self, shard: usize, make: impl FnOnce(u64) -> InstanceEvent) {
-        self.publish_batch(shard, std::iter::once(make));
-    }
-
-    /// Publish a batch of events on `shard`'s lane under **one** lane
-    /// lock acquisition and **one** wake-up per subscriber — the
-    /// batched cross-shard completion notification `submit_many`
-    /// rides on. A full subscriber ring loses events (its `dropped`
-    /// counter ticks); a closed subscriber is pruned.
-    pub(crate) fn publish_batch<F>(&self, shard: usize, makes: impl IntoIterator<Item = F>)
-    where
-        F: FnOnce(u64) -> InstanceEvent,
-    {
         if self.live_subs.load(Ordering::Relaxed) == 0 {
             return;
         }
@@ -970,20 +962,16 @@ impl EventHub {
         if subs.is_empty() {
             return;
         }
-        for make in makes {
-            // Clock assignment happens under the lane lock, so every
-            // subscriber observes this lane's clocks in strictly
-            // increasing order; across lanes clocks are unique but
-            // deliberately unordered.
-            let clock = self.clock.fetch_add(1, Ordering::Relaxed);
-            let event = make(clock);
-            for s in subs.iter() {
-                if !s.queue.push(event.clone()) {
-                    s.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        // Clock assignment happens under the lane lock, so every
+        // subscriber observes this lane's clocks in strictly
+        // increasing order; across lanes clocks are unique but
+        // deliberately unordered.
+        let clock = self.clock.fetch_add(1, Ordering::Relaxed);
+        let event = make(clock);
         for s in subs.iter() {
+            if !s.queue.push(event.clone()) {
+                s.dropped.fetch_add(1, Ordering::Relaxed);
+            }
             let _ = s.wake.try_send(());
         }
     }
@@ -1408,35 +1396,33 @@ mod tests {
     }
 
     #[test]
-    fn hub_batch_publish_wakes_blocked_subscriber_once() {
+    fn hub_publish_wakes_blocked_subscriber() {
         let hub = Arc::new(EventHub::new(2));
         let events = hub.subscribe(16);
         let publisher = {
             let hub = Arc::clone(&hub);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(30));
-                hub.publish_batch(
-                    1,
-                    (0..3u64).map(|i| {
-                        move |clock| InstanceEvent::Completed {
-                            clock,
-                            instance_id: i,
-                            shard: 1,
-                        }
-                    }),
-                );
+                for i in 0..3u64 {
+                    hub.publish(1, |clock| InstanceEvent::Completed {
+                        clock,
+                        instance_id: i,
+                        shard: 1,
+                    });
+                }
             })
         };
-        // recv blocks until the wake token lands, then drains the
-        // whole batch without further tokens.
-        let first = events.recv().expect("batch arrives");
+        // recv blocks until the first wake token lands; once the
+        // publisher is done the rest drain whether or not their
+        // (coalescing) tokens are still pending.
+        let first = events.recv().expect("event arrives");
         assert_eq!(first.shard(), 1);
+        publisher.join().expect("publisher thread");
         let mut rest = 0;
         while let Ok(Some(_)) = events.try_recv() {
             rest += 1;
         }
-        assert_eq!(rest, 2, "remaining batch events drain without new wakes");
-        publisher.join().expect("publisher thread");
+        assert_eq!(rest, 2, "remaining events drain");
 
         drop(hub);
         assert!(

@@ -1,4 +1,4 @@
-//! Per-instance execution metrics and per-shard server gauges.
+//! Per-instance execution metrics and the server's statistics records.
 //!
 //! The paper's two primary measures (§5):
 //!
@@ -10,15 +10,15 @@
 //!   (infinite-resource setting). The `TimeInSeconds` variant is
 //!   measured by the finite-resource driver in `dflowperf`.
 //!
-//! Beyond the per-instance counters, this module hosts the live
-//! observability surface of the sharded [`EngineServer`]: each shard
-//! owns a [`ShardGauges`] (lock-free atomics updated on the hot path)
-//! that snapshots into a [`ShardStats`], and the server aggregates the
-//! per-shard snapshots into a [`ServerStats`].
+//! Beyond the per-instance counters, this module hosts the plain
+//! records [`EngineServer::stats`] returns: one [`ShardStats`] per
+//! shard, aggregated into a [`ServerStats`]. The live counters behind
+//! them are the shard's [`ShardTelemetry`] registry handles — the same
+//! atomics `Telemetry::snapshot` reads; their snapshot-coherence
+//! contract is documented there, once.
 //!
-//! [`EngineServer`]: crate::server::EngineServer
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! [`EngineServer::stats`]: crate::server::EngineServer::stats
+//! [`ShardTelemetry`]: crate::telemetry::ShardTelemetry
 
 use serde::{Deserialize, Serialize};
 
@@ -80,131 +80,6 @@ impl InstanceMetrics {
     }
 }
 
-/// Live counters for one [`EngineServer`] shard, updated atomically on
-/// the submission / dispatch / completion hot paths.
-///
-/// Gauges (`queued_jobs`, `in_flight`) move both ways; the `submitted`
-/// / `completed` / `abandoned` / `deadline_exceeded` counters are
-/// monotone.
-///
-/// # Snapshot coherence
-///
-/// Increments are `Release` and [`snapshot`](Self::snapshot) loads are
-/// `Acquire`, reading `completed` and `abandoned` *before* `submitted`.
-/// Every completion increment happens-after its own submission
-/// increment (the instance travels from the submitting thread to the
-/// completing worker through the shard's job channel, whose
-/// send/receive pair establishes the ordering), so an acquire-read of
-/// `completed` means every counted completion's submission increment is
-/// also visible to the later `submitted` read. Hence a snapshot taken
-/// *while submissions race* still satisfies, per shard:
-///
-/// * `completed ≤ submitted`
-/// * `completed + abandoned ≤ submitted`
-///
-/// No such inequality is promised for `in_flight` under race (its
-/// decrement is a separate operation that may or may not be visible);
-/// the exact identity `submitted = completed + abandoned + in_flight`
-/// holds at quiescence — see [`ShardStats::accounts_exactly`].
-///
-/// [`EngineServer`]: crate::server::EngineServer
-#[derive(Debug, Default)]
-pub struct ShardGauges {
-    /// Task executions sent to the shard's worker pool and not yet
-    /// picked up by a worker thread (queue depth).
-    queued_jobs: AtomicUsize,
-    /// Instances submitted to this shard that have not completed.
-    in_flight: AtomicUsize,
-    /// Total instances ever routed to this shard.
-    submitted: AtomicU64,
-    /// Total instances completed on this shard.
-    completed: AtomicU64,
-    /// Instances that died without delivering a result (a panicking
-    /// task body abandoned them).
-    abandoned: AtomicU64,
-    /// Completed instances that stabilized after their deadline.
-    deadline_exceeded: AtomicU64,
-}
-
-impl ShardGauges {
-    /// Fresh zeroed gauges.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A task execution entered the shard's job queue.
-    pub fn job_enqueued(&self) {
-        // ordering: Release publishes the bump to Acquire snapshots.
-        self.queued_jobs.fetch_add(1, Ordering::Release);
-    }
-
-    /// A worker thread dequeued a task execution.
-    pub fn job_dequeued(&self) {
-        // ordering: Release publishes the decrement to Acquire snapshots.
-        self.queued_jobs.fetch_sub(1, Ordering::Release);
-    }
-
-    /// An instance was routed to this shard.
-    pub fn instance_submitted(&self) {
-        // ordering: Release keeps `submitted` visible no later than the
-        // matching `in_flight` bump for Acquire snapshots.
-        self.submitted.fetch_add(1, Ordering::Release);
-        self.in_flight.fetch_add(1, Ordering::Release); // ordering: see above
-    }
-
-    /// An instance completed on this shard.
-    pub fn instance_completed(&self) {
-        // ordering: Release pairs with the Acquire loads in `snapshot`,
-        // which reads `completed` before `submitted` (coherence bound).
-        self.completed.fetch_add(1, Ordering::Release);
-        self.in_flight.fetch_sub(1, Ordering::Release); // ordering: see above
-    }
-
-    /// An instance died without delivering a result (its task body
-    /// panicked); it is no longer in flight.
-    pub fn instance_abandoned(&self) {
-        // ordering: Release pairs with the Acquire loads in `snapshot`.
-        self.abandoned.fetch_add(1, Ordering::Release);
-        self.in_flight.fetch_sub(1, Ordering::Release); // ordering: see above
-    }
-
-    /// A completed instance stabilized after its deadline (counted in
-    /// addition to [`instance_completed`](Self::instance_completed)).
-    pub fn instance_deadline_exceeded(&self) {
-        // ordering: Release pairs with the Acquire loads in `snapshot`.
-        self.deadline_exceeded.fetch_add(1, Ordering::Release);
-    }
-
-    /// Snapshot the gauges into a plain [`ShardStats`] record.
-    ///
-    /// Reads the monotone counters `completed` and `abandoned` *first*
-    /// and `submitted` *last* (all `Acquire`), so the snapshot never
-    /// reports `completed > submitted` or `completed + abandoned >
-    /// submitted` even while submissions race — see the
-    /// [type-level docs](ShardGauges#snapshot-coherence).
-    pub fn snapshot(&self, shard: usize, workers: usize) -> ShardStats {
-        // ordering: Acquire loads pair with the Release increments; the
-        // read order (monotone counters first, `submitted` last) keeps
-        // the snapshot coherent while submissions race.
-        let completed = self.completed.load(Ordering::Acquire);
-        let abandoned = self.abandoned.load(Ordering::Acquire); // ordering: see above
-        let deadline_exceeded = self.deadline_exceeded.load(Ordering::Acquire); // ordering: see above
-        let queued_jobs = self.queued_jobs.load(Ordering::Acquire); // ordering: see above
-        let in_flight = self.in_flight.load(Ordering::Acquire); // ordering: see above
-        let submitted = self.submitted.load(Ordering::Acquire); // ordering: see above
-        ShardStats {
-            shard,
-            workers,
-            queued_jobs,
-            in_flight,
-            submitted,
-            completed,
-            abandoned,
-            deadline_exceeded,
-        }
-    }
-}
-
 /// Point-in-time statistics for one shard of the engine server.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
@@ -235,7 +110,7 @@ impl ShardStats {
     /// after every submitted ticket has been waited on). Under racing
     /// traffic only the inequalities `completed ≤ submitted` and
     /// `completed + abandoned ≤ submitted` are guaranteed — see
-    /// [`ShardGauges`](ShardGauges#snapshot-coherence).
+    /// [`ShardTelemetry`](crate::telemetry::ShardTelemetry#snapshot-coherence).
     pub fn accounts_exactly(&self) -> bool {
         self.submitted == self.completed + self.abandoned + self.in_flight as u64
     }
@@ -353,60 +228,6 @@ mod tests {
         assert_eq!(a.unneeded_detected, 1);
         assert_eq!(a.disabled, 2);
         assert_eq!(a.propagation_steps, 100);
-    }
-
-    #[test]
-    fn gauges_snapshot_and_aggregate() {
-        let g0 = ShardGauges::new();
-        let g1 = ShardGauges::new();
-        g0.instance_submitted();
-        g0.instance_submitted();
-        g0.job_enqueued();
-        g0.job_enqueued();
-        g0.job_dequeued();
-        g0.instance_completed();
-        g1.instance_submitted();
-        let stats = ServerStats {
-            shards: vec![g0.snapshot(0, 3), g1.snapshot(1, 2)],
-        };
-        assert_eq!(stats.shard_count(), 2);
-        assert_eq!(stats.workers(), 5);
-        assert_eq!(stats.queued_jobs(), 1);
-        assert_eq!(stats.in_flight(), 2);
-        assert_eq!(stats.submitted(), 3);
-        assert_eq!(stats.completed(), 1);
-        assert_eq!(stats.max_queue_depth(), 1);
-        assert_eq!(stats.shards_used(), 2);
-        assert_eq!(stats.shards[0].shard, 0);
-        assert_eq!(stats.shards[1].workers, 2);
-        assert_eq!(stats.deadline_exceeded(), 0);
-        assert!(
-            stats.accounts_exactly(),
-            "quiescent gauges satisfy the lifecycle identity"
-        );
-    }
-
-    #[test]
-    fn deadline_exceeded_counts_and_accounting() {
-        let g = ShardGauges::new();
-        g.instance_submitted();
-        g.instance_submitted();
-        g.instance_submitted();
-        g.instance_completed();
-        g.instance_deadline_exceeded();
-        g.instance_abandoned();
-        let s = g.snapshot(0, 1);
-        assert_eq!(s.deadline_exceeded, 1);
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.abandoned, 1);
-        assert_eq!(s.in_flight, 1);
-        assert!(s.accounts_exactly());
-        // A torn snapshot (here: forged) fails the identity.
-        let torn = ShardStats {
-            submitted: 4,
-            ..s.clone()
-        };
-        assert!(!torn.accounts_exactly());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod scheduler;
 pub mod strategy;
 pub mod unit_exec;
 
-pub use metrics::{InstanceMetrics, ServerStats, ShardGauges, ShardStats};
+pub use metrics::{InstanceMetrics, ServerStats, ShardStats};
 pub use runtime::{InstanceRuntime, RuntimeOptions, RuntimeScratch, Stalled};
 pub use strategy::{Heuristic, ParseStrategyError, Strategy};
 pub use unit_exec::{run_unit_time, run_unit_time_with_options, ExecError, UnitOutcome};

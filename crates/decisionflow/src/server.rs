@@ -15,8 +15,8 @@
 //!    │ arena     │  │ arena     │  │ arena     │  runtime scratch pool
 //!    │ event lane│  │ event lane│  │ event lane│  per-shard event ring
 //!    └───────────┘  └───────────┘  └───────────┘
-//!          ├── per-shard gauges ──▶ ServerStats   (aggregated snapshot)
-//!          ├── stage histograms ──▶ Telemetry     (Prometheus/JSON snapshot)
+//!          ├── shard registry   ──▶ ServerStats   (lifecycle counters, typed)
+//!          ├── (same registry)  ──▶ Telemetry     (Prometheus/JSON snapshot)
 //!          └── per-shard lanes  ──▶ ServerEvents  (merging subscriber)
 //! ```
 //!
@@ -38,9 +38,16 @@
 //!   shard round-robin and draw from that shard's own sequence (the
 //!   k-th id of shard *i* on an *N*-shard server is `k·N + i`), so id
 //!   spaces stay disjoint — and `id mod N` recovers the owner — with
-//!   no cross-shard coordination; [`submit_many`] resolves routing
-//!   once for the whole batch and allocates one contiguous id block
-//!   per shard;
+//!   no cross-shard coordination; [`submit_many`] draws the route
+//!   cursor once for the whole batch and allocates one contiguous id
+//!   block per shard;
+//! * **admission is one pipeline**: `submit`, `submit_many` and
+//!   `recover_pending` all run the same *validate* step (resolve the
+//!   schema, check the request — nothing consumed, nothing logged) and
+//!   the same *admit* step (WAL accept/requeue record → count
+//!   submitted → live-table insert → publish `Submitted` → enqueue the
+//!   build), so a batch is exactly a sequence of single submissions
+//!   validated up front;
 //! * **runtime construction happens on the owning shard's pool**, not
 //!   the submitting thread: `submit` validates, logs acceptance, and
 //!   returns its [`Ticket`] immediately, while the expensive
@@ -54,17 +61,17 @@
 //!   instance lock; new launches go back to the owning shard's pool,
 //!   so on a 1-worker shard the job queue (and any recorded journal,
 //!   fan-out flows included) is byte-deterministic;
-//! * each shard maintains lock-free [`ShardGauges`] (queue depth,
-//!   in-flight instances, submitted/completed/abandoned counters)
-//!   which [`EngineServer::stats`] aggregates into a [`ServerStats`]
-//!   snapshot, and every instance lifecycle transition is published to
-//!   [`subscribe`]rs as an [`InstanceEvent`];
-//! * the hot path is additionally instrumented end-to-end — submit →
-//!   route → validate → enqueue → dequeue → execute → complete — into
-//!   shard-local [`crate::telemetry`] histograms; the
-//!   [`EngineServer::telemetry`] handle snapshots them (and the
-//!   recent-span ring) into Prometheus or JSON, and every
-//!   [`InstanceResult`] carries its own [`StageTimings`];
+//! * each shard owns one [`ShardTelemetry`] registry: lock-free
+//!   lifecycle counters (queue depth, in-flight instances,
+//!   submitted/completed/abandoned) beside the stage histograms of the
+//!   instrumented hot path — submit → route → validate → enqueue →
+//!   dequeue → execute → complete. [`EngineServer::stats`] reads the
+//!   counters into a typed [`ServerStats`], the
+//!   [`EngineServer::telemetry`] handle snapshots the same atomics
+//!   (plus the recent-span ring) into Prometheus or JSON, every
+//!   [`InstanceResult`] carries its own [`StageTimings`], and every
+//!   lifecycle transition is published to [`subscribe`]rs as an
+//!   [`InstanceEvent`];
 //! * lifecycle events are published to a **per-shard event lane** and
 //!   merged by each [`ServerEvents`] subscriber on its own thread —
 //!   completions on different shards never contend on one channel,
@@ -97,7 +104,7 @@ use crate::api::{
     DeltaSource, EventHub, InstanceEvent, LiveInstance, Request, ServerEvents, Ticket, TicketBatch,
 };
 use crate::engine::{
-    scheduler, InstanceRuntime, RuntimeOptions, RuntimeScratch, ServerStats, ShardGauges, Strategy,
+    scheduler, InstanceRuntime, RuntimeOptions, RuntimeScratch, ServerStats, Strategy,
 };
 use crate::journal::{
     bind_sources, schema_fingerprint, Event, Journal, JournalSink, JournalWriter,
@@ -204,7 +211,7 @@ type Job = Box<dyn FnOnce() + Send>;
 struct WorkerPool {
     tx: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    gauges: Arc<ShardGauges>,
+    tele: Arc<ShardTelemetry>,
 }
 
 impl WorkerPool {
@@ -212,18 +219,18 @@ impl WorkerPool {
     /// the already-spawned threads are joined (via the normal `Drop`
     /// path) and the `io::Error` is propagated instead of aborting the
     /// process mid-construction.
-    fn new(shard: usize, size: usize, gauges: Arc<ShardGauges>) -> std::io::Result<WorkerPool> {
+    fn new(shard: usize, size: usize, tele: Arc<ShardTelemetry>) -> std::io::Result<WorkerPool> {
         assert!(size > 0, "worker pool needs at least one thread");
         let (tx, rx) = unbounded::<Job>();
         let mut workers = Vec::with_capacity(size);
         for i in 0..size {
             let rx: Receiver<Job> = rx.clone();
-            let g = Arc::clone(&gauges);
+            let t = Arc::clone(&tele);
             let spawned = std::thread::Builder::new()
                 .name(format!("dflow-s{shard}-w{i}"))
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
-                        g.job_dequeued();
+                        t.job_dequeued();
                         // A panicking task body must not take the
                         // worker (and a slice of the shard's capacity)
                         // down with it: catch the unwind and keep
@@ -240,7 +247,7 @@ impl WorkerPool {
                     drop(WorkerPool {
                         tx: Some(tx),
                         workers,
-                        gauges,
+                        tele,
                     });
                     return Err(e);
                 }
@@ -249,7 +256,7 @@ impl WorkerPool {
         Ok(WorkerPool {
             tx: Some(tx),
             workers,
-            gauges,
+            tele,
         })
     }
 
@@ -257,15 +264,16 @@ impl WorkerPool {
     /// caught), so the channel only disconnects if every worker died
     /// abnormally (e.g. a teardown race). Even then the caller must
     /// not panic: `false` means the job was dropped, which releases
-    /// its `Arc<Instance>` — the completion sender goes with it and
-    /// the ticket observes [`ServerGone`].
+    /// its `Arc<Instance>` (or unbuilt [`PendingStart`]) — the
+    /// completion sender goes with it and the ticket observes
+    /// [`ServerGone`].
     fn spawn(&self, job: Job) -> bool {
-        self.gauges.job_enqueued();
+        self.tele.job_enqueued();
         // invariant: tx is Some until drop(); spawn is never called during teardown.
         match self.tx.as_ref().expect("pool alive").send(job) {
             Ok(()) => true,
             Err(_) => {
-                self.gauges.job_dequeued();
+                self.tele.job_dequeued();
                 false
             }
         }
@@ -288,18 +296,16 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The shard's slice of the live-instance table: id → display name.
-type LiveTable = Arc<Mutex<HashMap<u64, String>>>;
-
 struct Instance {
     id: u64,
-    shard: usize,
+    /// The owning shard's shared state.
+    ctx: Arc<ShardCtx>,
     runtime: Mutex<InstanceRuntime>,
     /// Submission entry time (`t0` of [`SubmitTimings`]): the zero
     /// point of both [`InstanceResult::elapsed`] and the `e2e` stage.
     started: Instant,
     /// Durations of the submission-path stages: route/validate are
-    /// measured by `submit`/`submit_many` on the caller's thread;
+    /// measured by the admission pipeline on the caller's thread;
     /// `validate` additionally includes the runtime-construction time
     /// spent on the worker, folded in before the instance is built.
     route: Duration,
@@ -332,25 +338,6 @@ struct Instance {
     /// Scheduling-round counter for journaled instances (only ever
     /// touched under the runtime lock; atomic for `&self` access).
     rounds: AtomicU32,
-    /// The owning shard's pool, gauges, live-table slice, and the
-    /// server-wide event hub.
-    pool: Arc<WorkerPool>,
-    gauges: Arc<ShardGauges>,
-    live: LiveTable,
-    events: Arc<EventHub>,
-    /// The owning shard's stage histograms and the server-wide span
-    /// ring; both are written exactly once, at completion.
-    tele: Arc<ShardTelemetry>,
-    spans: Arc<SpanRecorder>,
-    /// The owning shard's runtime-construction arena; the runtime's
-    /// buffers are reclaimed into it when the instance drops.
-    scratch: Arc<ScratchPool>,
-    /// The server-wide snapshot store: labeled completions commit
-    /// their stabilized state here for future delta resubmissions.
-    state_store: Arc<StateStore>,
-    /// The cross-request memo table, when the server was built with
-    /// [`ServerBuilder::memoize`]; consulted before every task body.
-    memo: Option<Arc<MemoTable>>,
     /// Structural fingerprint of the instance's schema — the key space
     /// shared by the memo table and the snapshot store.
     schema_fp: u64,
@@ -390,12 +377,14 @@ impl Instance {
                     // the journal, so the snapshot matches the
                     // delivered record exactly.
                     if let Some(label) = &inst.label {
-                        inst.state_store
+                        inst.ctx
+                            .state_store
                             .commit(InstanceSnapshot::capture(&rt, label.clone()));
                     }
                     let retained = rt.retained_count();
                     if retained > 0 {
-                        inst.state_store
+                        inst.ctx
+                            .state_store
                             .note_delta(u64::from(retained), u64::from(rt.metrics().launched));
                     }
                     // Journals are wall-clock free: time stays 0,
@@ -442,7 +431,7 @@ impl Instance {
                     finished = Some(InstanceResult {
                         record: ExecutionRecord::from_runtime(&rt, 0),
                         elapsed: now.saturating_duration_since(inst.started),
-                        shard: inst.shard,
+                        shard: inst.ctx.index,
                         instance_id: inst.id,
                         label: inst.label.clone(),
                         journal,
@@ -499,29 +488,30 @@ impl Instance {
                 }
             }
         }
+        let ctx = &inst.ctx;
         if let Some(result) = finished {
-            inst.live.lock().remove(&inst.id);
+            ctx.live.lock().remove(&inst.id);
             if let Some(t) = &result.stage_timings {
-                inst.tele.record_timings(t);
-                inst.spans.record(SpanRecord {
+                ctx.tele.record_timings(t);
+                ctx.spans.record(SpanRecord {
                     instance_id: inst.id,
-                    shard: inst.shard,
+                    shard: ctx.index,
                     label: result.label.clone(),
                     timings: *t,
                     deadline_exceeded: result.deadline_exceeded,
                 });
             }
             if result.deadline_exceeded {
-                inst.gauges.instance_deadline_exceeded();
+                ctx.tele.instance_deadline_exceeded();
             }
-            inst.gauges.instance_completed();
+            ctx.tele.instance_completed();
             // Publish before sending, so a subscriber that reacts to a
             // delivered result always finds its Completed event.
-            inst.events
-                .publish(inst.shard, |clock| InstanceEvent::Completed {
+            ctx.events
+                .publish(ctx.index, |clock| InstanceEvent::Completed {
                     clock,
                     instance_id: inst.id,
-                    shard: inst.shard,
+                    shard: ctx.index,
                 });
             // Ignore send failure: the caller may have dropped the ticket.
             let _ = inst.done_tx.send(result);
@@ -529,7 +519,7 @@ impl Instance {
         }
         for (attr, inputs) in launches {
             let inst2 = Arc::clone(inst);
-            let dispatched = inst.pool.spawn(Box::new(move || {
+            let dispatched = ctx.pool.spawn(Box::new(move || {
                 // Execute the (foreign or synthesis) task body on the
                 // worker thread — this is the "external system" call.
                 // With memoization on, an identical (task, inputs)
@@ -542,7 +532,7 @@ impl Instance {
                     let rt = inst2.runtime.lock();
                     let schema = Arc::clone(rt.schema());
                     drop(rt);
-                    match &inst2.memo {
+                    match &inst2.ctx.memo {
                         Some(memo) => match memo.lookup(inst2.schema_fp, attr, &inputs) {
                             Some(v) => v,
                             None => {
@@ -574,31 +564,15 @@ impl Instance {
 impl Drop for Instance {
     fn drop(&mut self) {
         // The instance died without delivering — a task body panicked
-        // and the caught unwind released its references. It is no
-        // longer in flight; account for it so the gauges stay honest,
-        // and tell subscribers which instance was lost.
+        // and the caught unwind released its references.
         if !*self.finished.get_mut() {
-            self.live.lock().remove(&self.id);
-            self.gauges.instance_abandoned();
-            // A durable abandoned instance is sealed as such: its
-            // lifecycle *did* end (delivering nothing), and recovery
-            // must not re-execute it — re-running a flow whose task
-            // body panics deterministically would panic again forever.
-            if let Some(wal) = &self.wal {
-                wal.seal(SealOutcome::Abandoned);
-            }
-            self.events
-                .publish(self.shard, |clock| InstanceEvent::Abandoned {
-                    clock,
-                    instance_id: self.id,
-                    shard: self.shard,
-                });
+            self.ctx.abandon(self.id, self.wal.as_deref());
         }
         // This was the last reference: no job (not even a speculative
         // straggler) can touch the runtime anymore, so its buffers can
         // be recycled into the shard's construction arena. The final
         // ExecutionRecord was snapshotted at completion, before this.
-        self.scratch.put(self.runtime.get_mut().reclaim());
+        self.ctx.scratch.put(self.runtime.get_mut().reclaim());
     }
 }
 
@@ -635,11 +609,69 @@ impl ScratchPool {
     }
 }
 
-/// One shard: a schema-registry replica, an id sequence, a slice of
-/// the live-instance table, a private worker pool, a construction
-/// arena, and the gauges observing all of it.
-struct Shard {
+/// Everything the instances of one shard share, owned once: the
+/// private worker pool, the lifecycle counters and stage histograms,
+/// the shard's slice of the live-instance table, the construction
+/// arena, and handles onto the server-wide event hub, span ring,
+/// snapshot store and memo table. The [`Shard`] and every build job
+/// and [`Instance`] routed to it hold one `Arc` of it.
+struct ShardCtx {
     index: usize,
+    pool: WorkerPool,
+    /// Shard-local lifecycle counters and stage histograms: workers
+    /// update them with zero cross-shard contention;
+    /// [`EngineServer::stats`] and [`EngineServer::telemetry`] read
+    /// them at snapshot time.
+    tele: Arc<ShardTelemetry>,
+    /// The shard's slice of the live-instance table: id → display name.
+    live: Mutex<HashMap<u64, String>>,
+    events: Arc<EventHub>,
+    /// The server-wide span ring (shared: spans are one-per-completion
+    /// rare, unlike the five-samples-per-instance histograms).
+    spans: Arc<SpanRecorder>,
+    /// Arena of reclaimed runtime-construction buffers; a runtime's
+    /// buffers return to it when its instance drops.
+    scratch: ScratchPool,
+    /// The server-wide snapshot store (shared: commits are
+    /// one-per-labeled-completion rare; lookups hash to their own
+    /// internal shard). Labeled completions commit their stabilized
+    /// state here for future delta resubmissions.
+    state_store: Arc<StateStore>,
+    /// The server-wide memo table, when the server was built with
+    /// [`ServerBuilder::memoize`]; consulted before every task body.
+    memo: Option<Arc<MemoTable>>,
+}
+
+impl ShardCtx {
+    /// The one abandonment routine: instance `id` was admitted but will
+    /// never deliver — a task body panicked and the caught unwind
+    /// released its last reference ([`Instance::drop`]), its runtime
+    /// build failed, or the shard's pool is gone. It is no longer in
+    /// flight; account for it so the counters stay honest, and tell
+    /// subscribers which instance was lost.
+    fn abandon(&self, id: u64, wal: Option<&WalRecorder>) {
+        self.live.lock().remove(&id);
+        self.tele.instance_abandoned();
+        // A durable abandoned instance is sealed as such: its
+        // lifecycle *did* end (delivering nothing), and recovery must
+        // not re-execute an instance the caller was told (via
+        // ServerGone) never delivered — re-running a flow whose task
+        // body panics deterministically would panic again forever.
+        if let Some(wal) = wal {
+            wal.seal(SealOutcome::Abandoned);
+        }
+        self.events
+            .publish(self.index, |clock| InstanceEvent::Abandoned {
+                clock,
+                instance_id: id,
+                shard: self.index,
+            });
+    }
+}
+
+/// One shard: a schema-registry replica, an id sequence, and the
+/// [`ShardCtx`] its instances run against.
+struct Shard {
     workers: usize,
     schemas: RwLock<HashMap<String, Arc<Schema>>>,
     /// Shard-local instance-id sequence: the k-th id allocated by
@@ -647,45 +679,21 @@ struct Shard {
     /// are disjoint without cross-shard coordination and `id mod N`
     /// recovers the owner.
     next_k: AtomicU64,
-    pool: Arc<WorkerPool>,
-    gauges: Arc<ShardGauges>,
-    live: LiveTable,
-    events: Arc<EventHub>,
-    /// Shard-local stage histograms: workers record completions here
-    /// with zero cross-shard contention; [`EngineServer::telemetry`]
-    /// aggregates at snapshot time.
-    tele: Arc<ShardTelemetry>,
-    /// The server-wide span ring (shared: spans are one-per-completion
-    /// rare, unlike the five-samples-per-instance histograms).
-    spans: Arc<SpanRecorder>,
-    /// Arena of reclaimed runtime-construction buffers.
-    scratch: Arc<ScratchPool>,
-    /// The server-wide snapshot store (shared: commits are
-    /// one-per-labeled-completion rare; lookups hash to their own
-    /// internal shard).
-    state_store: Arc<StateStore>,
-    /// The server-wide memo table, when memoization is enabled.
-    memo: Option<Arc<MemoTable>>,
+    ctx: Arc<ShardCtx>,
 }
 
-/// The shard-owned state a build job carries into the worker pool,
-/// cloned out of the [`Shard`] so the job is `'static`.
-struct ShardHandles {
-    index: usize,
-    pool: Arc<WorkerPool>,
-    gauges: Arc<ShardGauges>,
-    live: LiveTable,
-    events: Arc<EventHub>,
-    tele: Arc<ShardTelemetry>,
-    spans: Arc<SpanRecorder>,
-    scratch: Arc<ScratchPool>,
-    state_store: Arc<StateStore>,
-    memo: Option<Arc<MemoTable>>,
+/// A request that passed [`EngineServer::validate`]: its schema is
+/// resolved and nothing about it can be rejected synchronously any
+/// more, but nothing has been consumed, logged or started yet.
+struct Validated {
+    request: Request,
+    schema: Arc<Schema>,
+    timings: SubmitTimings,
 }
 
-/// A validated, accepted request waiting for its runtime to be built
-/// on the owning shard's worker pool. Everything the worker needs is
-/// resolved on the submitting thread; the build job owns it outright.
+/// An admitted request waiting for its runtime to be built on the
+/// owning shard's worker pool. Everything the worker needs is resolved
+/// on the submitting thread; the build job owns it outright.
 struct PendingStart {
     request: Request,
     schema: Arc<Schema>,
@@ -708,27 +716,28 @@ impl Shard {
         state_store: Arc<StateStore>,
         memo: Option<Arc<MemoTable>>,
     ) -> Result<Shard, ServerBuildError> {
-        let gauges = Arc::new(ShardGauges::new());
-        let pool = WorkerPool::new(index, workers, Arc::clone(&gauges)).map_err(|source| {
+        let tele = Arc::new(ShardTelemetry::new());
+        let pool = WorkerPool::new(index, workers, Arc::clone(&tele)).map_err(|source| {
             ServerBuildError {
                 shard: index,
                 source,
             }
         })?;
         Ok(Shard {
-            index,
             workers,
             schemas: RwLock::new(HashMap::new()),
             next_k: AtomicU64::new(0),
-            pool: Arc::new(pool),
-            gauges,
-            live: Arc::new(Mutex::new(HashMap::new())),
-            events,
-            tele: Arc::new(ShardTelemetry::new()),
-            spans,
-            scratch: Arc::new(ScratchPool::new()),
-            state_store,
-            memo,
+            ctx: Arc::new(ShardCtx {
+                index,
+                pool,
+                tele,
+                live: Mutex::new(HashMap::new()),
+                events,
+                spans,
+                scratch: ScratchPool::new(),
+                state_store,
+                memo,
+            }),
         })
     }
 
@@ -749,78 +758,8 @@ impl Shard {
     /// The instance id of this shard's local sequence number `k` on an
     /// `nshards`-shard server.
     fn id_for(&self, k: u64, nshards: u64) -> u64 {
-        k * nshards + self.index as u64
+        k * nshards + self.ctx.index as u64
     }
-
-    fn handles(&self) -> ShardHandles {
-        ShardHandles {
-            index: self.index,
-            pool: Arc::clone(&self.pool),
-            gauges: Arc::clone(&self.gauges),
-            live: Arc::clone(&self.live),
-            events: Arc::clone(&self.events),
-            tele: Arc::clone(&self.tele),
-            spans: Arc::clone(&self.spans),
-            scratch: Arc::clone(&self.scratch),
-            state_store: Arc::clone(&self.state_store),
-            memo: self.memo.clone(),
-        }
-    }
-
-    /// Account for an accepted request and hand it to the shard's
-    /// worker pool. Runtime construction is the expensive half of
-    /// submission — moving it off the submitting thread and onto the
-    /// owning shard's pool is what lets N shards accept (and build) N
-    /// instances truly concurrently.
-    fn start(&self, id: u64, display_name: String, pending: PendingStart) {
-        self.gauges.instance_submitted();
-        self.live.lock().insert(id, display_name);
-        let label = pending.request.label.clone();
-        self.events
-            .publish(self.index, |clock| InstanceEvent::Submitted {
-                clock,
-                instance_id: id,
-                shard: self.index,
-                label,
-            });
-        self.enqueue_build(id, pending);
-    }
-
-    /// Enqueue the runtime-construction job for an already-accounted
-    /// submission. If every worker of the shard is dead the job can
-    /// never run: the submission accounting is undone and the WAL
-    /// sealed, exactly as if the instance was abandoned — the dropped
-    /// `done_tx` surfaces [`ServerGone`] on the ticket.
-    fn enqueue_build(&self, id: u64, pending: PendingStart) {
-        let h = self.handles();
-        let enqueued_at = Instant::now();
-        let wal = pending.wal.clone();
-        if !self.pool.spawn(Box::new(move || {
-            build_and_pump(id, pending, &h, enqueued_at)
-        })) {
-            // The dropped job released `pending` — and with it
-            // `done_tx`, surfacing ServerGone on the ticket.
-            abandon_unbuilt(id, &self.handles(), wal.as_deref());
-        }
-    }
-}
-
-/// Bookkeeping for an accepted instance that will never get a runtime
-/// (its build failed, or the shard's pool is gone): exactly the
-/// abandonment path of [`Instance::drop`], minus the instance.
-fn abandon_unbuilt(id: u64, h: &ShardHandles, wal: Option<&WalRecorder>) {
-    h.live.lock().remove(&id);
-    h.gauges.instance_abandoned();
-    // Seal so recovery does not re-execute an instance the caller was
-    // told (via ServerGone) never delivered.
-    if let Some(wal) = wal {
-        wal.seal(SealOutcome::Abandoned);
-    }
-    h.events.publish(h.index, |clock| InstanceEvent::Abandoned {
-        clock,
-        instance_id: id,
-        shard: h.index,
-    });
 }
 
 /// Worker-side half of submission: build the instance runtime (reusing
@@ -830,7 +769,7 @@ fn abandon_unbuilt(id: u64, h: &ShardHandles, wal: Option<&WalRecorder>) {
 /// is enqueued and executed by that single worker after the one
 /// submission handoff, so recorded fan-out executions stay
 /// byte-deterministic.
-fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at: Instant) {
+fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_at: Instant) {
     let build_start = Instant::now();
     let PendingStart {
         request,
@@ -842,30 +781,27 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         timings,
     } = pending;
     let schema_fp = schema_fingerprint(&schema);
-    let built = match build_runtime(
-        h.scratch.take(),
+    let built = build_runtime(
+        ctx.scratch.take(),
         schema,
         strategy,
         &request,
         wal.clone(),
-        &h.state_store,
-    ) {
-        Ok(ok) => ok,
-        Err(_) => {
-            // Validation already passed on the submitting thread, so
-            // the only failure left is the request's one-shot
-            // streaming sink being stolen by a concurrent resubmission
-            // racing this build. The instance was accepted; account it
-            // abandoned and drop `done_tx`, surfacing ServerGone.
-            abandon_unbuilt(id, h, wal.as_deref());
-            return;
-        }
+        &ctx.state_store,
+    );
+    let Ok((runtime, recorder)) = built else {
+        // Validation already passed on the submitting thread, so the
+        // only failure left is the request's one-shot streaming sink
+        // being stolen by a concurrent resubmission racing this build.
+        // The instance was admitted; account it abandoned and drop
+        // `done_tx`, surfacing ServerGone.
+        ctx.abandon(id, wal.as_deref());
+        return;
     };
-    let (runtime, recorder) = built;
     let built_at = Instant::now();
     let inst = Arc::new(Instance {
         id,
-        shard: h.index,
+        ctx,
         runtime: Mutex::new(runtime),
         started: timings.t0,
         route: timings.route,
@@ -880,15 +816,6 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         deadline,
         finished: Mutex::new(false),
         rounds: AtomicU32::new(0),
-        pool: Arc::clone(&h.pool),
-        gauges: Arc::clone(&h.gauges),
-        live: Arc::clone(&h.live),
-        events: Arc::clone(&h.events),
-        tele: Arc::clone(&h.tele),
-        spans: Arc::clone(&h.spans),
-        scratch: Arc::clone(&h.scratch),
-        state_store: Arc::clone(&h.state_store),
-        memo: h.memo.clone(),
         schema_fp,
     });
     Instance::pump(&inst);
@@ -896,7 +823,7 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
 
 /// Build one validated request's runtime (attaching the journal
 /// recorder and/or the write-ahead recorder when asked) without
-/// starting anything. Callers run `validate_request` first; for a
+/// starting anything. Callers run [`EngineServer::validate`] first; for a
 /// durable request the lifecycle record must already be on the lane,
 /// because constructing the runtime streams the instance's
 /// eager-initialization frames into `wal` — frames must never precede
@@ -995,15 +922,18 @@ impl JournalSink for TeeSink {
     }
 }
 
-/// Submission-path stage boundaries, measured by `submit` /
-/// `submit_many` and carried into the [`Instance`] so the completion
-/// path can assemble the full [`StageTimings`].
+/// Submission-path stage boundaries, measured by
+/// [`EngineServer::validate`] / [`EngineServer::admit`] and carried
+/// into the [`Instance`] so the completion path can assemble the full
+/// [`StageTimings`].
 struct SubmitTimings {
-    /// Submission entry — zero point of the `e2e` stage.
+    /// Entry into `submit` / `submit_many` — zero point of the `e2e`
+    /// stage and of the request's deadline budget.
     t0: Instant,
-    /// Entry → shard routed and schema resolved.
+    /// Validation entry → schema resolved on the routed shard.
     route: Duration,
-    /// Routed → request validated and runtime built.
+    /// Resolved → request validated, lifecycle record appended
+    /// (durable requests), and runtime built.
     validate: Duration,
 }
 
@@ -1632,7 +1562,9 @@ impl EngineServer {
     }
 
     /// Aggregated point-in-time statistics: one [`ShardStats`] per
-    /// shard (queue depth, in-flight instances, submission counters).
+    /// shard (queue depth, in-flight instances, submission counters),
+    /// read from the same per-shard registry atomics
+    /// [`telemetry`](EngineServer::telemetry) snapshots.
     ///
     /// [`ShardStats`]: crate::engine::metrics::ShardStats
     pub fn stats(&self) -> ServerStats {
@@ -1640,7 +1572,7 @@ impl EngineServer {
             shards: self
                 .shards
                 .iter()
-                .map(|s| s.gauges.snapshot(s.index, s.workers))
+                .map(|s| s.ctx.tele.stats(s.ctx.index, s.workers))
                 .collect(),
         }
     }
@@ -1654,8 +1586,11 @@ impl EngineServer {
     /// `examples/server_dashboard.rs`.
     pub fn telemetry(&self) -> Telemetry {
         Telemetry {
-            shards: self.shards.iter().map(|s| Arc::clone(&s.tele)).collect(),
-            gauges: self.shards.iter().map(|s| Arc::clone(&s.gauges)).collect(),
+            shards: self
+                .shards
+                .iter()
+                .map(|s| Arc::clone(&s.ctx.tele))
+                .collect(),
             spans: Arc::clone(&self.spans),
             extras: self
                 .store
@@ -1672,10 +1607,10 @@ impl EngineServer {
     pub fn live_instances(&self) -> Vec<LiveInstance> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            for (&id, name) in shard.live.lock().iter() {
+            for (&id, name) in shard.ctx.live.lock().iter() {
                 out.push(LiveInstance {
                     instance_id: id,
-                    shard: shard.index,
+                    shard: shard.ctx.index,
                     schema: name.clone(),
                 });
             }
@@ -1718,23 +1653,6 @@ impl EngineServer {
         &self.shards[c % self.shards.len()]
     }
 
-    /// Check a durable request's up-front requirements and hand back
-    /// the store to log it to. Runs *before* [`prepare`](Self::prepare)
-    /// — a durable rejection must not consume a streaming sink.
-    fn durable_store(&self, request: &Request) -> Result<Option<Arc<EventStore>>, SubmitError> {
-        if !request.durable {
-            return Ok(None);
-        }
-        let store = self
-            .store
-            .as_ref()
-            .ok_or(SubmitError::DurableWithoutStore)?;
-        if request.schema_name().is_none() {
-            return Err(SubmitError::DurableInlineSchema);
-        }
-        Ok(Some(Arc::clone(store)))
-    }
-
     /// Everything the store needs to re-execute `request` after a
     /// crash and to reconstruct its journal header byte-for-byte.
     fn persist_request(&self, id: u64, schema: &Schema, request: &Request) -> PersistedRequest {
@@ -1742,7 +1660,7 @@ impl EngineServer {
             instance_id: id,
             schema: request
                 .schema_name()
-                // invariant: durable_store already rejected inline schemas.
+                // invariant: validate rejects durable requests with inline schemas.
                 .expect("durable implies named")
                 .to_string(),
             strategy: request.strategy.unwrap_or(self.strategy).to_string(),
@@ -1756,30 +1674,56 @@ impl EngineServer {
         }
     }
 
-    /// Validate one request against its resolved schema — strict
-    /// analysis and source binding — without consuming anything: no
-    /// one-shot streaming sink is taken and no WAL record is sent, so
-    /// a rejected request leaves no trace (the caller fixes it and
-    /// resubmits). Must pass before a durable request's lifecycle
-    /// record is logged *and* before [`prepare`](Self::prepare) builds
-    /// the runtime.
-    fn validate_request(&self, schema: &Schema, request: &Request) -> Result<(), SubmitError> {
+    /// Admission step one — resolve and validate: look the schema up
+    /// in `shard`'s registry replica and check the request against it
+    /// (durable requirements, strict analysis, source binding, an
+    /// explicit delta prior, the streaming sink) without consuming
+    /// anything: no one-shot streaming sink is taken and no WAL record
+    /// is sent, so a rejected request leaves no trace (the caller
+    /// fixes it and resubmits). `t0` is the caller's entry time — the
+    /// zero point of the `e2e` stage and of any [`Request::deadline`].
+    ///
+    /// Every synchronous rejection — unknown schema, invalid sources,
+    /// strict-analysis findings, durable misconfiguration, an
+    /// already-consumed streaming sink — comes from here; a failed lane
+    /// append is the only one [`admit`](Self::admit) adds.
+    fn validate(
+        &self,
+        shard: &Shard,
+        request: Request,
+        t0: Instant,
+    ) -> Result<Validated, SubmitError> {
+        let entered = Instant::now();
+        if request.durable {
+            if self.store.is_none() {
+                return Err(SubmitError::DurableWithoutStore);
+            }
+            if request.schema_name().is_none() {
+                return Err(SubmitError::DurableInlineSchema);
+            }
+        }
+        let schema = match request.schema() {
+            Some(inline) => Arc::clone(inline),
+            // invariant: Request construction guarantees a schema or a name.
+            None => shard.schema_for(request.schema_name().expect("named or inline"))?,
+        };
+        let routed = Instant::now();
         if request.strict_analysis {
-            let report = crate::analysis::check(schema);
+            let report = crate::analysis::check(&schema);
             if report.has_errors() {
                 return Err(SubmitError::Analysis(report.errors().cloned().collect()));
             }
         }
         request
             .sources
-            .validate(schema)
+            .validate(&schema)
             .map_err(SubmitError::Sources)?;
         // An explicit prior snapshot that can never apply is a caller
         // bug — reject it synchronously instead of silently running
         // cold. (Label-resolved priors are checked at build time and
         // degrade to cold on any miss.)
         if let Some(DeltaSource::Prior(prior)) = &request.delta {
-            let expected = schema_fingerprint(schema);
+            let expected = schema_fingerprint(&schema);
             if prior.schema_fingerprint() != expected {
                 return Err(SubmitError::Delta(DeltaError::SchemaMismatch {
                     expected,
@@ -1788,13 +1732,125 @@ impl EngineServer {
             }
         }
         // Peek, don't take: the caller owns the request, so a sink
-        // present here is still present when `prepare` consumes it.
+        // present here is still present when the build consumes it.
         if let Some(stream) = &request.journal_stream {
             if stream.is_consumed() {
                 return Err(SubmitError::StreamConsumed);
             }
         }
-        Ok(())
+        let validated = Instant::now();
+        Ok(Validated {
+            request,
+            schema,
+            timings: SubmitTimings {
+                t0,
+                route: routed.saturating_duration_since(entered),
+                validate: validated.saturating_duration_since(routed),
+            },
+        })
+    }
+
+    /// Admission step two — the one place an instance enters the
+    /// server: write-ahead-log it (durable requests), count it
+    /// submitted, insert it into the live table, publish `Submitted`,
+    /// and enqueue its runtime build on the owning shard's pool.
+    /// `requeue` distinguishes a fresh acceptance (`None`: attempt 0,
+    /// logs `RequestAccepted`) from a recovery re-execution
+    /// (`Some(attempt)`: logs `RequestRequeued` — acceptance is already
+    /// on file from the crashed run).
+    ///
+    /// Runtime construction is the expensive half of submission —
+    /// moving it off the submitting thread and onto the owning shard's
+    /// pool is what lets N shards accept (and build) N instances truly
+    /// concurrently. The build's only failure mode (the one-shot sink
+    /// stolen by a racing resubmission between validation and build)
+    /// surfaces as [`ServerGone`] on the ticket, like any abandoned
+    /// instance.
+    fn admit(
+        &self,
+        shard: &Shard,
+        id: u64,
+        validated: Validated,
+        requeue: Option<u32>,
+    ) -> Result<Ticket, SubmitError> {
+        let Validated {
+            request,
+            schema,
+            mut timings,
+        } = validated;
+        let ctx = &shard.ctx;
+        // Log the lifecycle record only after validation passed, and
+        // *before* the build job is enqueued: building the runtime
+        // streams the instance's eager-initialization frames, and both
+        // the lifecycle record and those frames go down the same
+        // per-shard lane channel — the append below happens-before the
+        // enqueue, which happens-before the worker builds, so no frame
+        // can ever precede its accept (or requeue) record on disk,
+        // even if a crash tears the tail anywhere. The append counts
+        // towards the `validate` stage.
+        let wal = match self.store.as_ref().filter(|_| request.durable) {
+            None => None,
+            Some(store) => {
+                let append_start = Instant::now();
+                let event = match requeue {
+                    None => StoreEvent::RequestAccepted {
+                        request: self.persist_request(id, &schema, &request),
+                    },
+                    Some(attempt) => StoreEvent::RequestRequeued {
+                        instance_id: id,
+                        attempt,
+                    },
+                };
+                store
+                    .append(ctx.index, event)
+                    .map_err(|e| SubmitError::Store(e.to_string()))?;
+                timings.validate += append_start.elapsed();
+                let attempt = requeue.unwrap_or(0);
+                Some(Arc::new(WalRecorder::new(
+                    Arc::clone(store),
+                    ctx.index,
+                    id,
+                    attempt,
+                )))
+            }
+        };
+        // An unrepresentable deadline (e.g. Duration::MAX budget)
+        // saturates to "no deadline" rather than panicking.
+        let deadline = request
+            .deadline
+            .and_then(|budget| timings.t0.checked_add(budget));
+        let strategy = request.strategy.unwrap_or(self.strategy);
+        let (done_tx, done_rx) = unbounded();
+        ctx.tele.instance_submitted();
+        ctx.live.lock().insert(id, request.display_name());
+        let label = request.label.clone();
+        ctx.events
+            .publish(ctx.index, |clock| InstanceEvent::Submitted {
+                clock,
+                instance_id: id,
+                shard: ctx.index,
+                label,
+            });
+        let pending = PendingStart {
+            request,
+            schema,
+            strategy,
+            wal: wal.clone(),
+            done_tx,
+            deadline,
+            timings,
+        };
+        let job_ctx = Arc::clone(ctx);
+        let enqueued_at = Instant::now();
+        if !ctx.pool.spawn(Box::new(move || {
+            build_and_pump(job_ctx, id, pending, enqueued_at)
+        })) {
+            // Every worker of the shard is dead, so the build can never
+            // run. The dropped job released `pending` — and with it
+            // `done_tx`, surfacing ServerGone on the ticket.
+            ctx.abandon(id, wal.as_deref());
+        }
+        Ok(Ticket::new(done_rx, id, ctx.index, deadline))
     }
 
     /// Submit one flow instance; returns immediately with a [`Ticket`].
@@ -1828,103 +1884,11 @@ impl EngineServer {
     ///
     /// [`register`]: EngineServer::register
     pub fn submit(&self, request: impl Into<Request>) -> Result<Ticket, SubmitError> {
-        let shard = self.route_shard();
-        let id = shard.id_for(shard.alloc_seq(1), self.shards.len() as u64);
-        self.submit_to(shard, request.into(), id, 0, None)
-    }
-
-    /// Recovery re-submission: the instance keeps its original id, so
-    /// the owning shard is derived from it rather than round-robin.
-    fn submit_as(
-        &self,
-        request: Request,
-        id: u64,
-        attempt: u32,
-        requeue: Option<u32>,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_to(self.shard_for(id), request, id, attempt, requeue)
-    }
-
-    /// The shared submission path: validate, write-ahead-log (durable
-    /// requests), account, and enqueue the runtime build on the owning
-    /// shard's pool. `attempt`/`requeue` distinguish a fresh
-    /// acceptance (attempt 0, logs `RequestAccepted`) from a recovery
-    /// re-execution (logs `RequestRequeued` — acceptance is already on
-    /// file from the crashed run).
-    ///
-    /// Every synchronous rejection — unknown schema, invalid sources,
-    /// strict-analysis findings, durable misconfiguration, an
-    /// already-consumed streaming sink, a failed lane append — is
-    /// still returned from this call. The runtime build itself runs on
-    /// the shard; its only failure mode (the one-shot sink stolen by a
-    /// racing resubmission between validation and build) surfaces as
-    /// [`ServerGone`] on the ticket, like any abandoned instance.
-    fn submit_to(
-        &self,
-        shard: &Shard,
-        request: Request,
-        id: u64,
-        attempt: u32,
-        requeue: Option<u32>,
-    ) -> Result<Ticket, SubmitError> {
         let t0 = Instant::now();
-        let store = self.durable_store(&request)?;
-        let schema = match request.schema() {
-            Some(inline) => Arc::clone(inline),
-            // invariant: Request construction guarantees a schema or a name.
-            None => shard.schema_for(request.schema_name().expect("named or inline"))?,
-        };
-        let routed = Instant::now();
-        self.validate_request(&schema, &request)?;
-        // Log acceptance only after validation passed, and *before*
-        // the build job is enqueued: building the runtime streams the
-        // instance's eager-initialization frames, and both the
-        // lifecycle record and those frames go down the same per-shard
-        // lane channel — the append below happens-before the enqueue,
-        // which happens-before the worker builds, so no frame can ever
-        // precede its accept (or requeue) record on disk, even if a
-        // crash tears the tail anywhere.
-        if let Some(store) = &store {
-            let event = match requeue {
-                None => StoreEvent::RequestAccepted {
-                    request: self.persist_request(id, &schema, &request),
-                },
-                Some(next_attempt) => StoreEvent::RequestRequeued {
-                    instance_id: id,
-                    attempt: next_attempt,
-                },
-            };
-            store
-                .append(shard.index, event)
-                .map_err(|e| SubmitError::Store(e.to_string()))?;
-        }
-        let wal = store
-            .as_ref()
-            .map(|s| Arc::new(WalRecorder::new(Arc::clone(s), shard.index, id, attempt)));
-        let validated = Instant::now();
-        // An unrepresentable deadline (e.g. Duration::MAX budget)
-        // saturates to "no deadline" rather than panicking.
-        let deadline = request.deadline.and_then(|budget| t0.checked_add(budget));
-        let strategy = request.strategy.unwrap_or(self.strategy);
-        let (done_tx, done_rx) = unbounded();
-        shard.start(
-            id,
-            request.display_name(),
-            PendingStart {
-                request,
-                schema,
-                strategy,
-                wal,
-                done_tx,
-                deadline,
-                timings: SubmitTimings {
-                    t0,
-                    route: routed.saturating_duration_since(t0),
-                    validate: validated.saturating_duration_since(routed),
-                },
-            },
-        );
-        Ok(Ticket::new(done_rx, id, shard.index, deadline))
+        let shard = self.route_shard();
+        let validated = self.validate(shard, request.into(), t0)?;
+        let id = shard.id_for(shard.alloc_seq(1), self.shards.len() as u64);
+        self.admit(shard, id, validated, None)
     }
 
     /// Re-execute every accepted-but-unsealed instance the store
@@ -2001,29 +1965,33 @@ impl EngineServer {
                 rebuilt = rebuilt.deadline(Duration::from_millis(ms));
             }
             let ticket = self
-                .submit_as(rebuilt, id, p.next_attempt, Some(p.next_attempt))
+                .validate(shard, rebuilt, Instant::now())
+                .and_then(|v| self.admit(shard, id, v, Some(p.next_attempt)))
                 .map_err(RecoverError::Submit)?;
             tickets.push(ticket);
         }
         Ok(tickets)
     }
 
-    /// Submit a batch of requests in one call, amortizing routing and
-    /// registry-lock acquisition: the batch is grouped by destination
-    /// shard once, each shard hands out one contiguous id block, each
-    /// shard's registry read lock is taken once per group, each
-    /// distinct schema name is resolved at most once per shard, and
-    /// each shard's `Submitted` events are published as one batch onto
-    /// its lane. Journaling, strategy overrides, deadlines, and labels
-    /// are honored per request — a recorded batch is just a batch of
-    /// recorded requests.
+    /// Submit a batch of requests in one call: the route cursor is
+    /// drawn once for the whole batch, every request is validated
+    /// before any is admitted, and each shard hands out one contiguous
+    /// id block. Apart from that up-front validation a batch is
+    /// exactly a sequence of [`submit`](EngineServer::submit)s —
+    /// same ids, same shards, same events, same stage timings — and
+    /// journaling, strategy overrides, deadlines (measured from entry
+    /// into this call), and labels are honored per request: a recorded
+    /// batch is just a batch of recorded requests.
     ///
     /// Validation is all-or-nothing: if any request names an unknown
-    /// schema or binds invalid sources, *no* instance is started and
-    /// the first error is returned. On success the returned
-    /// [`TicketBatch`] holds the tickets in submission order — wait on
-    /// all of them with [`TicketBatch::wait_all`], or peel off
-    /// [`Ticket`]s via [`TicketBatch::into_tickets`].
+    /// schema or binds invalid sources, *no* instance is started,
+    /// nothing is logged, and the first error is returned. On success
+    /// the returned [`TicketBatch`] holds the tickets in submission
+    /// order — wait on all of them with [`TicketBatch::wait_all`], or
+    /// peel off [`Ticket`]s via [`TicketBatch::into_tickets`]. (A WAL
+    /// lane failing mid-batch returns its error with the requests
+    /// admitted before it already running; the lane is latched failed,
+    /// so the server is degraded anyway.)
     pub fn submit_many<I>(&self, requests: I) -> Result<TicketBatch, SubmitError>
     where
         I: IntoIterator,
@@ -2031,180 +1999,39 @@ impl EngineServer {
     {
         let t0 = Instant::now();
         let requests: Vec<Request> = requests.into_iter().map(Into::into).collect();
-        // Phase 1 — route: spread the batch round-robin from one
-        // cursor draw, then allocate each shard's ids as a single
-        // contiguous block of its sequence.
         let n = self.shards.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Route: one cursor draw spreads the batch round-robin.
         let start = self
             .route_cursor
             .fetch_add(requests.len(), Ordering::Relaxed);
-        for i in 0..requests.len() {
-            by_shard[(start + i) % n].push(i);
-        }
-        let mut ids: Vec<u64> = vec![0; requests.len()];
-        for (sidx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[sidx];
-            let base = shard.alloc_seq(indices.len() as u64);
-            for (j, &i) in indices.iter().enumerate() {
-                ids[i] = shard.id_for(base + j as u64, n as u64);
-            }
-        }
-        // The whole batch shares the routing phase; validation is
-        // timed per request below.
-        let route = Instant::now().saturating_duration_since(t0);
-        // Phase 2 — validate: per shard, resolve named schemas under
-        // one read-lock acquisition (memoized per distinct name) and
-        // validate every request. Runtimes are NOT built here: building
-        // one streams a durable instance's construction frames to its
-        // WAL lane, and no frame may precede its acceptance record on
-        // disk. Nothing has been logged or started yet, so any failure
-        // aborts the whole batch cleanly.
-        let mut schemas: Vec<Option<Arc<Schema>>> = Vec::new();
-        schemas.resize_with(requests.len(), || None);
-        let mut persists: Vec<Option<PersistedRequest>> = Vec::new();
-        persists.resize_with(requests.len(), || None);
-        let mut validates: Vec<Duration> = vec![Duration::ZERO; requests.len()];
-        for (sidx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let registry = self.shards[sidx].schemas.read();
-            let mut memo: HashMap<&str, Arc<Schema>> = HashMap::new();
-            for &i in indices {
-                let request = &requests[i];
-                let validate_start = Instant::now();
-                let store = self.durable_store(request)?;
-                let schema = match request.schema() {
-                    Some(inline) => Arc::clone(inline),
-                    None => {
-                        // invariant: Request construction guarantees a schema or a name.
-                        let name = request.schema_name().expect("named or inline");
-                        match memo.get(name) {
-                            Some(s) => Arc::clone(s),
-                            None => {
-                                let s = registry
-                                    .get(name)
-                                    .cloned()
-                                    .ok_or_else(|| SubmitError::UnknownSchema(name.to_string()))?;
-                                memo.insert(name, Arc::clone(&s));
-                                s
-                            }
-                        }
-                    }
-                };
-                self.validate_request(&schema, request)?;
-                if store.is_some() {
-                    persists[i] = Some(self.persist_request(ids[i], &schema, request));
-                }
-                schemas[i] = Some(schema);
-                validates[i] = Instant::now().saturating_duration_since(validate_start);
-            }
-        }
-        // Phase 3 — per shard group: log acceptances, account the
-        // submissions, publish one batched `Submitted` burst onto the
-        // shard's event lane, and enqueue the runtime builds on the
-        // owning shard's pool. Tickets come back in submission order.
-        // Acceptance records go down the lane before the build jobs
-        // are enqueued, and each build streams its construction frames
-        // from the same shard — so no frame can precede its acceptance
-        // on disk, exactly as in `submit`. A lane failure aborts the
-        // rest of the batch: this group's already-accepted-but-
-        // unstarted requests are sealed abandoned so recovery cannot
-        // re-execute them; earlier groups already started keep running
-        // (the lane is latched failed, so the server is degraded
-        // anyway).
-        let now = Instant::now();
-        let mut requests: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        let mut slots: Vec<Option<Ticket>> = Vec::new();
-        slots.resize_with(requests.len(), || None);
-        for (sidx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[sidx];
-            let mut wals: Vec<Option<Arc<WalRecorder>>> = Vec::with_capacity(indices.len());
-            for &i in indices {
-                match (persists[i].take(), self.store.as_ref()) {
-                    (Some(persist), Some(store)) => {
-                        if let Err(e) =
-                            store.append(sidx, StoreEvent::RequestAccepted { request: persist })
-                        {
-                            for wal in wals.iter().flatten() {
-                                wal.seal(SealOutcome::Abandoned);
-                            }
-                            return Err(SubmitError::Store(e.to_string()));
-                        }
-                        wals.push(Some(Arc::new(WalRecorder::new(
-                            Arc::clone(store),
-                            sidx,
-                            ids[i],
-                            0,
-                        ))));
-                    }
-                    _ => wals.push(None),
-                }
-            }
-            {
-                let mut live = shard.live.lock();
-                for &i in indices {
-                    shard.gauges.instance_submitted();
-                    // invariant: phase 3 visits each request index once.
-                    let name = requests[i].as_ref().expect("unconsumed").display_name();
-                    live.insert(ids[i], name);
-                }
-            }
-            // One publish_batch per shard: the whole group's Submitted
-            // events land on the lane under a single lock hold, before
-            // any of the group's build jobs can publish a completion.
-            shard.events.publish_batch(
-                sidx,
-                indices.iter().map(|&i| {
-                    let instance_id = ids[i];
-                    let label = requests[i].as_ref().and_then(|r| r.label.clone());
-                    move |clock| InstanceEvent::Submitted {
-                        clock,
-                        instance_id,
-                        shard: sidx,
-                        label,
-                    }
-                }),
-            );
-            for (j, &i) in indices.iter().enumerate() {
-                // invariant: each request index is in exactly one group.
-                let request = requests[i].take().expect("routed once");
-                // invariant: phase 2 filled every slot or returned early.
-                let schema = schemas[i].take().expect("validated above");
-                let strategy = request.strategy.unwrap_or(self.strategy);
-                let deadline = request.deadline.and_then(|budget| now.checked_add(budget));
-                let (done_tx, done_rx) = unbounded();
-                slots[i] = Some(Ticket::new(done_rx, ids[i], sidx, deadline));
-                shard.enqueue_build(
-                    ids[i],
-                    PendingStart {
-                        request,
-                        schema,
-                        strategy,
-                        wal: wals[j].clone(),
-                        done_tx,
-                        deadline,
-                        timings: SubmitTimings {
-                            t0,
-                            route,
-                            validate: validates[i],
-                        },
-                    },
-                );
-            }
-        }
-        let tickets: Vec<Ticket> = slots
+        let shard_of = |i: usize| &self.shards[(start + i) % n];
+        // Validate everything before anything is logged or started, so
+        // any failure aborts the whole batch cleanly.
+        let validated = requests
             .into_iter()
-            // invariant: every request index was routed to one group.
-            .map(|t| t.expect("ticket filled"))
+            .enumerate()
+            .map(|(i, request)| self.validate(shard_of(i), request, t0))
+            .collect::<Result<Vec<Validated>, SubmitError>>()?;
+        // One contiguous block of each shard's id sequence.
+        let mut counts = vec![0u64; n];
+        for i in 0..validated.len() {
+            counts[(start + i) % n] += 1;
+        }
+        let mut next_k: Vec<u64> = self
+            .shards
+            .iter()
+            .zip(&counts)
+            .map(|(shard, &count)| shard.alloc_seq(count))
             .collect();
+        // Admit in submission order; tickets come back in that order.
+        let mut tickets = Vec::with_capacity(validated.len());
+        for (i, v) in validated.into_iter().enumerate() {
+            let shard = shard_of(i);
+            let k = &mut next_k[shard.ctx.index];
+            let id = shard.id_for(*k, n as u64);
+            *k += 1;
+            tickets.push(self.admit(shard, id, v, None)?);
+        }
         Ok(TicketBatch::new(tickets))
     }
 }
@@ -2443,8 +2270,7 @@ mod tests {
     #[test]
     fn batch_submission_matches_one_by_one() {
         let schema = slow_schema(10);
-        let server = sharded(4, 2, "PCE100");
-        server.register("flow", Arc::clone(&schema));
+        let budget = Duration::from_secs(30);
         let sources: Vec<SourceValues> = (0..24i64)
             .map(|i| {
                 let mut sv = SourceValues::new();
@@ -2452,14 +2278,54 @@ mod tests {
                 sv
             })
             .collect();
-        let tickets = server
-            .submit_many(
-                sources
-                    .iter()
-                    .map(|sv| Request::named("flow").sources(sv.clone())),
-            )
-            .unwrap();
+        let request = |sv: &SourceValues| {
+            Request::named("flow")
+                .sources(sv.clone())
+                .deadline(budget)
+                .durable(true)
+        };
+        let dir = std::env::temp_dir().join(format!("dflow-batch-{}", std::process::id()));
+        let durable = |sub: &str| {
+            let _ = std::fs::remove_dir_all(dir.join(sub));
+            let server = EngineServer::builder()
+                .shards(4)
+                .workers_per_shard(2)
+                .strategy("PCE100".parse().unwrap())
+                .durable(dir.join(sub))
+                .build()
+                .unwrap();
+            server.register("flow", Arc::clone(&schema));
+            server
+        };
+
+        // The reference: the same requests, one `submit` at a time.
+        let one_by_one = durable("singles");
+        let expected: Vec<(u64, usize)> = sources
+            .iter()
+            .map(|sv| {
+                let t = one_by_one.submit(request(sv)).unwrap();
+                (t.instance_id(), t.shard())
+            })
+            .collect();
+        drop(one_by_one);
+
+        let server = durable("batch");
+        let events = server.subscribe();
+        let entry = Instant::now();
+        let tickets = server.submit_many(sources.iter().map(request)).unwrap();
+        let returned = Instant::now();
         assert_eq!(tickets.len(), 24);
+        let placed: Vec<(u64, usize)> = tickets
+            .iter()
+            .map(|t| (t.instance_id(), t.shard()))
+            .collect();
+        assert_eq!(placed, expected, "same ids and shards as sequential submit");
+        for t in tickets.iter() {
+            // The budget runs from entry into the call, for every member.
+            let zero = t.deadline().expect("budgeted") - budget;
+            assert!(entry <= zero && zero <= returned, "deadline zero point");
+            assert_eq!(t.deadline(), tickets.iter().next().unwrap().deadline());
+        }
         for (t, sv) in tickets.into_iter().zip(&sources) {
             let snap = complete_snapshot(&schema, sv).unwrap();
             let r = t.wait().unwrap();
@@ -2472,6 +2338,54 @@ mod tests {
         assert_eq!(stats.submitted(), 24);
         assert_eq!(stats.completed(), 24);
         assert!(stats.shards_used() >= 2, "batch must spread across shards");
+
+        // Per lane, every Completed follows its own Submitted.
+        let mut submitted = std::collections::HashSet::new();
+        let mut completed = 0;
+        while let Ok(Some(ev)) = events.try_recv() {
+            match ev {
+                InstanceEvent::Submitted { instance_id, .. } => {
+                    assert!(submitted.insert(instance_id), "one Submitted each");
+                }
+                InstanceEvent::Completed { instance_id, .. } => {
+                    assert!(submitted.contains(&instance_id), "Submitted first");
+                    completed += 1;
+                }
+                InstanceEvent::Abandoned { .. } => panic!("nothing abandons"),
+            }
+        }
+        assert_eq!((submitted.len(), completed), (24, 24));
+
+        // On disk, every instance's accept record precedes its frames.
+        drop(server);
+        let mut segments: Vec<_> = std::fs::read_dir(dir.join("batch"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+            .collect();
+        segments.sort();
+        let mut accepted = std::collections::HashSet::new();
+        let mut frames = 0;
+        for path in segments {
+            let (records, defect) = crate::store::wal::scan_segment(&std::fs::read(path).unwrap());
+            assert!(defect.is_none(), "clean shutdown");
+            for record in records {
+                let text = std::str::from_utf8(&record.payload).unwrap();
+                match serde::json::from_str::<StoreEvent>(text).unwrap() {
+                    StoreEvent::RequestAccepted { request } => {
+                        accepted.insert(request.instance_id);
+                    }
+                    StoreEvent::FrameAppended { instance_id, .. } => {
+                        assert!(accepted.contains(&instance_id), "accept precedes frames");
+                        frames += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(accepted.len(), 24);
+        assert!(frames > 0, "durable instances leave frames");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2776,7 +2690,7 @@ mod tests {
         // Ids encode their owning shard: the k-th id minted by shard i
         // is k·N + i, so ownership is recoverable as id mod N.
         for id in 0..64u64 {
-            assert_eq!(server.shard_for(id).index, (id % 4) as usize);
+            assert_eq!(server.shard_for(id).ctx.index, (id % 4) as usize);
         }
         // Submission routing is round-robin, so sequential submissions
         // land on consecutive shards and the ids they mint cover all

@@ -13,7 +13,7 @@
 //!    [`delta_by_label`](crate::api::Request::delta_by_label) on the
 //!    server) diffs the new sources against the snapshot's source set,
 //!    computes the downstream-of-delta cone with
-//!    [`analysis::delta_cone`](crate::analysis::delta_cone), and
+//!    [`analysis::delta_cone`], and
 //!    re-executes only that cone — every out-of-cone attribute is
 //!    spliced back in pre-stabilized
 //!    ([`InstanceRuntime::with_options_retained`]), journaled as an

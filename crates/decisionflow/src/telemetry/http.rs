@@ -201,7 +201,6 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::metrics::ShardGauges;
     use crate::telemetry::{ShardTelemetry, SpanRecorder, Stage, TelemetrySnapshot};
 
     fn test_telemetry() -> Telemetry {
@@ -209,7 +208,6 @@ mod tests {
         shard.record_stage(Stage::EndToEnd, 1_500);
         Telemetry {
             shards: vec![shard],
-            gauges: vec![Arc::new(ShardGauges::new())],
             spans: Arc::new(SpanRecorder::new(4)),
             extras: Vec::new(),
         }

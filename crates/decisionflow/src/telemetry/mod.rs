@@ -12,13 +12,15 @@
 //!
 //! and recorded into **per-shard** [`LatencyHistogram`]s — lock-free
 //! log-bucketed atomics with zero cross-shard contention, aggregated
-//! only at snapshot time exactly like `ShardGauges::snapshot`. The
-//! stages ([`Stage`]):
+//! only at snapshot time. The same per-shard [`ShardTelemetry`] owns
+//! the instance lifecycle counters (`instances_*`, `jobs_queued`), so
+//! `EngineServer::stats` and [`Telemetry::snapshot`] are two views of
+//! one set of atomics. The stages ([`Stage`]):
 //!
 //! | stage | interval |
 //! |---|---|
 //! | `route` | submission entry → shard chosen, schema resolved |
-//! | `validate` | source validation + runtime construction |
+//! | `validate` | request validation, WAL acceptance append, runtime construction |
 //! | `queue_wait` | first scheduling round enqueued → picked up by a worker |
 //! | `execute` | worker pickup → target stabilization |
 //! | `e2e` | submission entry → target stabilization |
@@ -47,7 +49,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::metrics::ShardGauges;
+use crate::engine::metrics::ShardStats;
 
 pub mod exposition;
 pub mod histogram;
@@ -69,7 +71,8 @@ pub use spans::{SpanRecord, SpanRecorder};
 pub enum Stage {
     /// Submission entry → shard routed and schema resolved.
     Route,
-    /// Request validation and runtime construction.
+    /// Request validation, WAL acceptance append (durable requests),
+    /// and runtime construction.
     Validate,
     /// First scheduling round enqueued → picked up by a worker.
     QueueWait,
@@ -112,7 +115,8 @@ impl Stage {
 pub struct StageTimings {
     /// Submission entry → shard routed and schema resolved.
     pub route_ns: u64,
-    /// Request validation and runtime construction.
+    /// Request validation, WAL acceptance append (durable requests),
+    /// and runtime construction.
     pub validate_ns: u64,
     /// First scheduling round enqueued → picked up by a worker.
     pub queue_wait_ns: u64,
@@ -141,14 +145,58 @@ impl StageTimings {
     }
 }
 
-/// One shard's telemetry: a [`Registry`] whose stage histograms are
-/// pre-resolved into an array for single-indirection recording on the
-/// completion path. Each shard owns its own `ShardTelemetry`, so
-/// recording never contends across shards.
+/// One shard's telemetry: a [`Registry`] whose stage histograms and
+/// instance lifecycle counters are pre-resolved into handles for
+/// single-indirection updates on the hot path. Each shard owns its own
+/// `ShardTelemetry`, so recording never contends across shards.
+///
+/// The lifecycle series are ordinary registry metrics — counters
+/// `instances_submitted` / `instances_completed` /
+/// `instances_abandoned` / `instances_deadline_exceeded` (monotone) and
+/// gauges `instances_in_flight` / `jobs_queued` (move both ways) — read
+/// by [`stats`](Self::stats) for `EngineServer::stats` and by
+/// [`Registry::snapshot`] for [`Telemetry::snapshot`].
+///
+/// # Snapshot coherence
+///
+/// Counter and gauge updates are `Release` and reads are `Acquire`, and
+/// both readers load `completed` and `abandoned` *before* `submitted`
+/// ([`stats`](Self::stats) by statement order, [`Registry::snapshot`]
+/// because it reads in registration order and [`new`](Self::new)
+/// registers them in that order). Every completion increment
+/// happens-after its own submission increment (the instance travels
+/// from the submitting thread to the completing worker through the
+/// shard's job channel, whose send/receive pair establishes the
+/// ordering), so an acquire-read of `completed` means every counted
+/// completion's submission increment is also visible to the later
+/// `submitted` read. Hence a snapshot taken *while submissions race*
+/// still satisfies, per shard (and therefore summed over shards):
+///
+/// * `completed ≤ submitted`
+/// * `completed + abandoned ≤ submitted`
+///
+/// No such inequality is promised for `in_flight` under race (its
+/// decrement is a separate operation that may or may not be visible);
+/// the exact identity `submitted = completed + abandoned + in_flight`
+/// holds at quiescence — see [`ShardStats::accounts_exactly`].
 #[derive(Debug)]
 pub struct ShardTelemetry {
     registry: Registry,
     stages: [Arc<LatencyHistogram>; Stage::ALL.len()],
+    /// Total instances ever routed to this shard.
+    submitted: Arc<Counter>,
+    /// Total instances completed on this shard.
+    completed: Arc<Counter>,
+    /// Instances that died without delivering a result (a panicking
+    /// task body abandoned them).
+    abandoned: Arc<Counter>,
+    /// Completed instances that stabilized after their deadline.
+    deadline_exceeded: Arc<Counter>,
+    /// Instances submitted to this shard that have not completed.
+    in_flight: Arc<Gauge>,
+    /// Task executions sent to the shard's worker pool and not yet
+    /// picked up by a worker thread (queue depth).
+    jobs_queued: Arc<Gauge>,
 }
 
 impl Default for ShardTelemetry {
@@ -158,12 +206,29 @@ impl Default for ShardTelemetry {
 }
 
 impl ShardTelemetry {
-    /// Fresh shard telemetry with every [`Stage`] histogram
-    /// registered.
+    /// Fresh shard telemetry with every [`Stage`] histogram and the
+    /// lifecycle counters registered.
     pub fn new() -> ShardTelemetry {
         let registry = Registry::new();
         let stages = Stage::ALL.map(|s| registry.histogram(s.name()));
-        ShardTelemetry { registry, stages }
+        // ordering: registration order is the registry's read order —
+        // monotone counters first, `submitted` last (snapshot coherence).
+        let completed = registry.counter("instances_completed");
+        let abandoned = registry.counter("instances_abandoned");
+        let deadline_exceeded = registry.counter("instances_deadline_exceeded");
+        let jobs_queued = registry.gauge("jobs_queued");
+        let in_flight = registry.gauge("instances_in_flight");
+        let submitted = registry.counter("instances_submitted");
+        ShardTelemetry {
+            registry,
+            stages,
+            submitted,
+            completed,
+            abandoned,
+            deadline_exceeded,
+            in_flight,
+            jobs_queued,
+        }
     }
 
     /// Record one stage sample, nanoseconds.
@@ -176,6 +241,71 @@ impl ShardTelemetry {
     pub fn record_timings(&self, t: &StageTimings) {
         for stage in Stage::ALL {
             self.record_stage(stage, t.stage_ns(stage));
+        }
+    }
+
+    /// A task execution entered the shard's job queue.
+    pub fn job_enqueued(&self) {
+        self.jobs_queued.inc();
+    }
+
+    /// A worker thread dequeued a task execution.
+    pub fn job_dequeued(&self) {
+        self.jobs_queued.dec();
+    }
+
+    /// An instance was routed to this shard. `submitted` is bumped
+    /// before `in_flight`, so it is visible no later.
+    pub fn instance_submitted(&self) {
+        self.submitted.inc();
+        self.in_flight.inc();
+    }
+
+    /// An instance completed on this shard.
+    pub fn instance_completed(&self) {
+        self.completed.inc();
+        self.in_flight.dec();
+    }
+
+    /// An instance died without delivering a result (its task body
+    /// panicked); it is no longer in flight.
+    pub fn instance_abandoned(&self) {
+        self.abandoned.inc();
+        self.in_flight.dec();
+    }
+
+    /// A completed instance stabilized after its deadline (counted in
+    /// addition to [`instance_completed`](Self::instance_completed)).
+    pub fn instance_deadline_exceeded(&self) {
+        self.deadline_exceeded.inc();
+    }
+
+    /// Read the lifecycle counters into a plain [`ShardStats`] record.
+    ///
+    /// Reads the monotone counters `completed` and `abandoned` *first*
+    /// and `submitted` *last*, so the record never reports `completed >
+    /// submitted` or `completed + abandoned > submitted` even while
+    /// submissions race — see the
+    /// [type-level docs](ShardTelemetry#snapshot-coherence).
+    pub fn stats(&self, shard: usize, workers: usize) -> ShardStats {
+        // ordering: each `get` is an Acquire load pairing with the
+        // Release updates; the read order (monotone counters first,
+        // `submitted` last) keeps the record coherent under race.
+        let completed = self.completed.get();
+        let abandoned = self.abandoned.get();
+        let deadline_exceeded = self.deadline_exceeded.get();
+        let queued_jobs = self.jobs_queued.get().max(0) as usize;
+        let in_flight = self.in_flight.get().max(0) as usize;
+        let submitted = self.submitted.get();
+        ShardStats {
+            shard,
+            workers,
+            queued_jobs,
+            in_flight,
+            submitted,
+            completed,
+            abandoned,
+            deadline_exceeded,
         }
     }
 
@@ -194,7 +324,6 @@ impl ShardTelemetry {
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     pub(crate) shards: Vec<Arc<ShardTelemetry>>,
-    pub(crate) gauges: Vec<Arc<ShardGauges>>,
     pub(crate) spans: Arc<SpanRecorder>,
     /// Additional registries merged into every snapshot — the durable
     /// store's WAL metrics (`wal_*` counters, append/fsync
@@ -209,13 +338,11 @@ impl Telemetry {
         self.shards.len()
     }
 
-    /// Aggregate every shard's registry and gauges into one
-    /// [`TelemetrySnapshot`]: counters and gauges sum name-wise,
-    /// histograms merge bucket-wise, and the server's lifecycle
-    /// counters (submitted / completed / abandoned /
-    /// deadline-exceeded, in-flight, queue depth) plus the span ring's
-    /// totals are folded in as `instances_*` / `jobs_queued` /
-    /// `spans_*` metrics.
+    /// Aggregate every shard's registry into one [`TelemetrySnapshot`]:
+    /// counters and gauges sum name-wise (the `instances_*` /
+    /// `jobs_queued` lifecycle series among them), histograms merge
+    /// bucket-wise, and the span ring's totals are folded in as
+    /// `spans_*` counters.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
@@ -235,17 +362,6 @@ impl Telemetry {
                     }
                 }
             }
-        }
-        for (i, g) in self.gauges.iter().enumerate() {
-            let s = g.snapshot(i, 0);
-            *counters.entry("instances_submitted".into()).or_default() += s.submitted;
-            *counters.entry("instances_completed".into()).or_default() += s.completed;
-            *counters.entry("instances_abandoned".into()).or_default() += s.abandoned;
-            *counters
-                .entry("instances_deadline_exceeded".into())
-                .or_default() += s.deadline_exceeded;
-            *gauges.entry("instances_in_flight".into()).or_default() += s.in_flight as i64;
-            *gauges.entry("jobs_queued".into()).or_default() += s.queued_jobs as i64;
         }
         *counters.entry("spans_recorded".into()).or_default() += self.spans.recorded();
         *counters.entry("spans_evicted".into()).or_default() += self.spans.evicted();
@@ -340,6 +456,71 @@ mod tests {
     }
 
     #[test]
+    fn lifecycle_counters_feed_stats_and_snapshot_alike() {
+        use crate::engine::metrics::ServerStats;
+        let (t0, t1) = (Arc::new(ShardTelemetry::new()), ShardTelemetry::new());
+        t0.instance_submitted();
+        t0.instance_submitted();
+        t0.job_enqueued();
+        t0.job_enqueued();
+        t0.job_dequeued();
+        t0.instance_completed();
+        t1.instance_submitted();
+        let stats = ServerStats {
+            shards: vec![t0.stats(0, 3), t1.stats(1, 2)],
+        };
+        assert_eq!(stats.shard_count(), 2);
+        assert_eq!(stats.workers(), 5);
+        assert_eq!(stats.queued_jobs(), 1);
+        assert_eq!(stats.in_flight(), 2);
+        assert_eq!(stats.submitted(), 3);
+        assert_eq!(stats.completed(), 1);
+        assert_eq!(stats.max_queue_depth(), 1);
+        assert_eq!(stats.shards_used(), 2);
+        assert_eq!(stats.shards[0].shard, 0);
+        assert_eq!(stats.shards[1].workers, 2);
+        assert_eq!(stats.deadline_exceeded(), 0);
+        assert!(
+            stats.accounts_exactly(),
+            "quiescent counters satisfy the lifecycle identity"
+        );
+        // The registry view reads the very same atomics.
+        let snap = Telemetry {
+            shards: vec![t0],
+            spans: Arc::new(SpanRecorder::new(8)),
+            extras: Vec::new(),
+        }
+        .snapshot();
+        assert_eq!(snap.counter("instances_submitted"), Some(2));
+        assert_eq!(snap.counter("instances_completed"), Some(1));
+        assert_eq!(snap.gauge("instances_in_flight"), Some(1));
+        assert_eq!(snap.gauge("jobs_queued"), Some(1));
+    }
+
+    #[test]
+    fn deadline_exceeded_counts_and_accounting() {
+        let t = ShardTelemetry::new();
+        t.instance_submitted();
+        t.instance_submitted();
+        t.instance_submitted();
+        t.instance_completed();
+        t.instance_deadline_exceeded();
+        t.instance_abandoned();
+        let s = t.stats(0, 1);
+        assert_eq!(s.deadline_exceeded, 1);
+        assert_eq!(s.completed, 1);
+        assert_eq!(s.abandoned, 1);
+        assert_eq!(s.in_flight, 1);
+        assert!(s.accounts_exactly());
+        // A torn snapshot (here: forged) fails the identity.
+        let torn = ShardStats {
+            submitted: 4,
+            ..s.clone()
+        };
+        assert!(!torn.accounts_exactly());
+    }
+
+    #[test]
     fn snapshot_merges_shards_and_orders_stages() {
         let a = Arc::new(ShardTelemetry::new());
         let b = Arc::new(ShardTelemetry::new());
@@ -351,7 +532,6 @@ mod tests {
         extra.counter("wal_appends").add(5);
         let tele = Telemetry {
             shards: vec![a, b],
-            gauges: vec![Arc::new(ShardGauges::new()), Arc::new(ShardGauges::new())],
             spans: Arc::new(SpanRecorder::new(8)),
             extras: vec![extra],
         };

@@ -7,8 +7,13 @@
 //! atomic operations — the hot path never touches the registry again.
 //! Aggregation happens only at snapshot time, by merging the per-shard
 //! [`Registry::snapshot`]s name-wise (counters and gauges sum,
-//! histograms merge bucket-wise), mirroring how `ShardGauges`
-//! aggregate into `ServerStats`.
+//! histograms merge bucket-wise).
+//!
+//! [`Counter`] and [`Gauge`] updates are `Release` and their reads
+//! `Acquire`, and a snapshot reads metrics in registration order —
+//! the two halves of the coherence contract the server's lifecycle
+//! counters rely on (see
+//! [`ShardTelemetry`](super::ShardTelemetry#snapshot-coherence)).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,12 +39,14 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        // ordering: Release publishes the bump to Acquire `get`s.
+        self.0.fetch_add(n, Ordering::Release);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        // ordering: Acquire pairs with the Release in `add`.
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -66,17 +73,20 @@ impl Gauge {
 
     /// Add `n` (negative to decrease).
     pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        // ordering: Release publishes the change to Acquire `get`s.
+        self.0.fetch_add(n, Ordering::Release);
     }
 
     /// Overwrite the value.
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        // ordering: Release publishes the value to Acquire `get`s.
+        self.0.store(v, Ordering::Release);
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        // ordering: Acquire pairs with the Release in `add`/`set`.
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -169,7 +179,9 @@ impl Registry {
         }
     }
 
-    /// Snapshot every registered metric, sorted by name.
+    /// Snapshot every registered metric, sorted by name. The values
+    /// are *read* in registration order, so a component that registers
+    /// `a` before `b` gets `a` read no later than `b`.
     pub fn snapshot(&self) -> Vec<(String, MetricSnapshot)> {
         let mut out: Vec<(String, MetricSnapshot)> = self
             .entries
