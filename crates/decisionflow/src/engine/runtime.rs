@@ -63,9 +63,9 @@ pub struct RuntimeOptions {
 /// server's submission hot path that cost is paid once per instance.
 /// A scratch holds those buffers after an instance retires
 /// ([`InstanceRuntime::reclaim`]) so the next construction on the same
-/// shard ([`InstanceRuntime::with_options_in`]) reuses the capacity
-/// instead of round-tripping the allocator. A `Default` scratch is
-/// empty and behaves exactly like allocating fresh.
+/// shard ([`InstanceRuntime::with_options_retained_in`]) reuses the
+/// capacity instead of round-tripping the allocator. A `Default`
+/// scratch is empty and behaves exactly like allocating fresh.
 #[derive(Default)]
 pub struct RuntimeScratch {
     state: Vec<AttrState>,
@@ -206,54 +206,6 @@ impl InstanceRuntime {
         )
     }
 
-    /// Like [`InstanceRuntime::with_options`], building into a
-    /// reclaimed [`RuntimeScratch`] so the per-attribute vectors reuse
-    /// a retired instance's capacity instead of allocating fresh.
-    pub fn with_options_in(
-        scratch: RuntimeScratch,
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        options: RuntimeOptions,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(schema, strategy, sources, &[], options, None, scratch)
-    }
-
-    /// Like [`InstanceRuntime::with_options`], additionally recording
-    /// every engine control decision into `sink` — including the
-    /// eager decisions made during initialization, which is why the
-    /// sink must be supplied at construction.
-    pub fn with_options_recorded(
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        options: RuntimeOptions,
-        sink: Box<dyn JournalSink>,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(
-            schema,
-            strategy,
-            sources,
-            &[],
-            options,
-            Some(sink),
-            RuntimeScratch::default(),
-        )
-    }
-
-    /// Like [`InstanceRuntime::with_options_recorded`], building into a
-    /// reclaimed [`RuntimeScratch`].
-    pub fn with_options_recorded_in(
-        scratch: RuntimeScratch,
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        options: RuntimeOptions,
-        sink: Box<dyn JournalSink>,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(schema, strategy, sources, &[], options, Some(sink), scratch)
-    }
-
     /// Delta-resubmission construction: like
     /// [`InstanceRuntime::with_options`], but every `(attr, state,
     /// value)` entry of `retained` is **adopted** from a prior
@@ -265,6 +217,11 @@ impl InstanceRuntime {
     /// stable state (`Value`/`Disabled`) whose every transitive
     /// dependency is itself retained or an unchanged source — exactly
     /// what [`plan_delta`](crate::statestore::plan_delta) produces.
+    ///
+    /// A `sink` records every engine control decision — including the
+    /// eager decisions made during initialization, which is why it
+    /// must be supplied at construction. With no `retained` entries
+    /// this is the plain recorded construction.
     pub fn with_options_retained(
         schema: Arc<Schema>,
         strategy: Strategy,
@@ -285,7 +242,8 @@ impl InstanceRuntime {
     }
 
     /// Like [`InstanceRuntime::with_options_retained`], building into a
-    /// reclaimed [`RuntimeScratch`].
+    /// reclaimed [`RuntimeScratch`] so the per-attribute vectors reuse
+    /// a retired instance's capacity instead of allocating fresh.
     pub fn with_options_retained_in(
         scratch: RuntimeScratch,
         schema: Arc<Schema>,

@@ -1213,6 +1213,9 @@ impl Server {
     }
 }
 
+/// What both server-side backends stamp into [`LoadReport::backend`].
+const SERVER_BACKEND: &str = "server";
+
 /// Register the workload's flows into `server` as `flow0`, `flow1`, …
 /// — the names [`server_request`] submits against. [`OnServer`] calls
 /// this on a *caller-owned* server, overwriting any schemas previously
@@ -1241,15 +1244,17 @@ fn server_request(workload: &Workload, strategy: Strategy, i: usize, durable: bo
 }
 
 /// Closed waves against an already-built server: `clients`-sized
-/// `submit_many` batches, each wave awaited before the next.
-fn run_closed_on(
+/// `submit_many` batches, each wave awaited before the next (which
+/// also guarantees a resubmission finds its client's previous
+/// completion already committed). `request(i)` builds the run's
+/// `i`-th request; it is called in index order.
+fn run_waves_on(
     server: &EngineServer,
-    backend: &'static str,
     workload: &Workload,
     strategy: Strategy,
     total: usize,
     clients: usize,
-    durable: bool,
+    mut request: impl FnMut(usize) -> Request,
 ) -> Result<LoadReport, LoadError> {
     let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
     let mut shards_seen = std::collections::HashSet::new();
@@ -1266,7 +1271,7 @@ fn run_closed_on(
             measure_t0 = Some(Instant::now());
         }
         let tickets = server
-            .submit_many((0..wave).map(|k| server_request(workload, strategy, next + k, durable)))
+            .submit_many((next..next + wave).map(&mut request))
             .map_err(|e| LoadError::Exec(e.to_string()))?;
         for (k, t) in tickets.into_iter().enumerate() {
             acc.settle_ticket(next + k, t, &mut shards_seen);
@@ -1276,7 +1281,7 @@ fn run_closed_on(
     let wall = t0.elapsed();
     let measured_wall = measure_t0.map(|t| t.elapsed()).unwrap_or(wall);
     let mut report = acc.into_report(ReportFrame {
-        backend,
+        backend: SERVER_BACKEND,
         workload,
         strategy,
         submitted: total,
@@ -1350,74 +1355,6 @@ fn resub_request(
     req
 }
 
-/// Closed resubmission waves against an already-built server: wave 0
-/// seeds every client's snapshot cold, later waves resubmit the same
-/// labels — each as a delta with probability `delta_rate` (seeded by
-/// [`Workload::seed`], so two runs offer the identical request
-/// sequence). Waves are awaited like [`run_closed_on`]'s, which also
-/// guarantees every delta resubmission finds its client's previous
-/// completion already committed.
-#[allow(clippy::too_many_arguments)]
-fn run_resub_on(
-    server: &EngineServer,
-    backend: &'static str,
-    workload: &Workload,
-    strategy: Strategy,
-    total: usize,
-    clients: usize,
-    delta_rate: f64,
-    churn: usize,
-    durable: bool,
-) -> Result<LoadReport, LoadError> {
-    let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
-    let mut shards_seen = std::collections::HashSet::new();
-    let mut rng = StdRng::seed_from_u64(workload.seed);
-    let t0 = Instant::now();
-    let mut measure_t0: Option<Instant> = None;
-    let mut next = 0usize;
-    while next < total {
-        let wave_n = clients.min(total - next);
-        let wave = next / clients;
-        if measure_t0.is_none() && next + wave_n > workload.warmup {
-            measure_t0 = Some(Instant::now());
-        }
-        let requests: Vec<Request> = (0..wave_n)
-            .map(|c| {
-                let delta = rng.gen_bool(delta_rate);
-                resub_request(workload, strategy, c, wave, churn, delta, durable)
-            })
-            .collect();
-        let tickets = server
-            .submit_many(requests)
-            .map_err(|e| LoadError::Exec(e.to_string()))?;
-        for (k, t) in tickets.into_iter().enumerate() {
-            acc.settle_ticket(next + k, t, &mut shards_seen);
-        }
-        next += wave_n;
-    }
-    let wall = t0.elapsed();
-    let measured_wall = measure_t0.map(|t| t.elapsed()).unwrap_or(wall);
-    let mut report = acc.into_report(ReportFrame {
-        backend,
-        workload,
-        strategy,
-        submitted: total,
-        window_secs: measured_wall.as_secs_f64().max(1e-9),
-        wall,
-        latency_unit: LatencyUnit::Millis,
-    });
-    if let Some(store) = server.store() {
-        let _ = store.sync();
-    }
-    report.server = Some(ServerSideStats {
-        stats: server.stats(),
-        shards_used: shards_seen.len(),
-        telemetry: server.telemetry().snapshot(),
-        pacer: None,
-    });
-    Ok(report)
-}
-
 /// Open Poisson pacing against an already-built server, split across
 /// two dedicated threads:
 ///
@@ -1438,7 +1375,6 @@ fn run_resub_on(
 /// schedule fidelity is reported in [`PacerStats`].
 fn run_open_on(
     server: &EngineServer,
-    backend: &'static str,
     workload: &Workload,
     strategy: Strategy,
     total: usize,
@@ -1623,7 +1559,7 @@ fn run_open_on(
         .saturating_duration_since(measure_t0)
         .as_secs_f64();
     let mut report = acc.into_report(ReportFrame {
-        backend,
+        backend: SERVER_BACKEND,
         workload,
         strategy,
         submitted: total,
@@ -1645,51 +1581,52 @@ fn run_open_on(
     Ok(report)
 }
 
+/// Run `workload` against an already-built server under its arrival
+/// process — the one dispatch [`Server`] and [`OnServer`] share.
+fn run_on(
+    server: &EngineServer,
+    workload: &Workload,
+    strategy: Strategy,
+    total: usize,
+    durable: bool,
+) -> Result<LoadReport, LoadError> {
+    match workload.arrival {
+        Arrival::Closed { clients, .. } => {
+            run_waves_on(server, workload, strategy, total, clients, |i| {
+                server_request(workload, strategy, i, durable)
+            })
+        }
+        Arrival::Poisson { rate } => run_open_on(server, workload, strategy, total, rate, durable),
+        Arrival::Resubmission {
+            clients,
+            delta_rate,
+            churn,
+            ..
+        } => {
+            // Wave 0 seeds every client's snapshot cold; later waves
+            // resubmit the same labels, each as a delta with
+            // probability `delta_rate` — seeded by `Workload::seed`, so
+            // two runs offer the identical request sequence.
+            let mut rng = StdRng::seed_from_u64(workload.seed);
+            run_waves_on(server, workload, strategy, total, clients, |i| {
+                let delta = rng.gen_bool(delta_rate);
+                let (client, wave) = (i % clients, i / clients);
+                resub_request(workload, strategy, client, wave, churn, delta, durable)
+            })
+        }
+    }
+}
+
 impl Backend for Server {
     fn name(&self) -> &'static str {
-        "server"
+        SERVER_BACKEND
     }
 
     fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
         let Resolved { strategy, total } = workload.resolve()?;
         let server = self.build(strategy, workload)?;
         let durable = self.durable_dir.is_some();
-        match workload.arrival {
-            Arrival::Closed { clients, .. } => run_closed_on(
-                &server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                clients,
-                durable,
-            ),
-            Arrival::Poisson { rate } => run_open_on(
-                &server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                rate,
-                durable,
-            ),
-            Arrival::Resubmission {
-                clients,
-                delta_rate,
-                churn,
-                ..
-            } => run_resub_on(
-                &server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                clients,
-                delta_rate,
-                churn,
-                durable,
-            ),
-        }
+        run_on(&server, workload, strategy, total, durable)
     }
 }
 
@@ -1737,48 +1674,13 @@ impl<'a> OnServer<'a> {
 
 impl Backend for OnServer<'_> {
     fn name(&self) -> &'static str {
-        "server"
+        SERVER_BACKEND
     }
 
     fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
         let Resolved { strategy, total } = workload.resolve()?;
         register_flows(self.server, workload);
-        match workload.arrival {
-            Arrival::Closed { clients, .. } => run_closed_on(
-                self.server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                clients,
-                self.durable,
-            ),
-            Arrival::Poisson { rate } => run_open_on(
-                self.server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                rate,
-                self.durable,
-            ),
-            Arrival::Resubmission {
-                clients,
-                delta_rate,
-                churn,
-                ..
-            } => run_resub_on(
-                self.server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                clients,
-                delta_rate,
-                churn,
-                self.durable,
-            ),
-        }
+        run_on(self.server, workload, strategy, total, self.durable)
     }
 }
 
