@@ -14,8 +14,8 @@ use std::io::BufReader;
 use std::path::PathBuf;
 
 use decisionflow::engine::Strategy;
-use decisionflow::journal::{read_journal, Event};
-use dflow_corpus::{bless, check, default_matrix, record, BlessStatus, EntrySpec};
+use decisionflow::journal::{read_journal, schema_fingerprint, Event};
+use dflow_corpus::{bless, check, default_matrix, record, BlessStatus, EntryManifest, EntrySpec};
 use dflowgen::PatternParams;
 
 /// Fresh scratch directory under the system temp dir.
@@ -334,4 +334,27 @@ fn checked_in_corpus_is_green() {
     );
     let report = check(&dir, &default_matrix()).unwrap();
     assert!(report.passed(), "{}", report.to_text());
+}
+
+/// `schema_fingerprint` is cached on the `Schema`; the cached value is
+/// bit-identical to the one a blessed manifest pinned for the same
+/// generated flow, however often it is asked for.
+#[test]
+fn schema_fingerprint_matches_blessed_manifest_and_is_stable() {
+    let entry = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus/chain-PCC100-s4101");
+    let manifest: EntryManifest =
+        serde::json::from_str(&fs::read_to_string(entry.join("manifest.json")).unwrap()).unwrap();
+    let flow = dflowgen::generate(manifest.params, manifest.seed).unwrap();
+    for _ in 0..3 {
+        assert_eq!(
+            schema_fingerprint(&flow.schema),
+            manifest.schema_fingerprint
+        );
+    }
+    // A second, independently built `Schema` value hashes the same.
+    let again = dflowgen::generate(manifest.params, manifest.seed).unwrap();
+    assert_eq!(
+        schema_fingerprint(&again.schema),
+        manifest.schema_fingerprint
+    );
 }

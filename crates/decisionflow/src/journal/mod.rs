@@ -169,7 +169,15 @@ impl Journal {
 /// data edges and enabling conditions, order-sensitively mixed. Task
 /// *bodies* are code and cannot be fingerprinted; replay instead
 /// verifies every produced value against the journal.
+///
+/// Computed at most once per [`Schema`] value (on first use) and cached
+/// on it, so the server, the snapshot store and the journal writer can
+/// all ask per instance.
 pub fn schema_fingerprint(schema: &Schema) -> u64 {
+    schema.fingerprint_or_init(|| compute_fingerprint(schema))
+}
+
+fn compute_fingerprint(schema: &Schema) -> u64 {
     fn mix(h: u64, x: u64) -> u64 {
         let mut z = h ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

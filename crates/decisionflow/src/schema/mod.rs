@@ -19,6 +19,7 @@ pub use validate::SchemaError;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -84,9 +85,21 @@ pub struct Schema {
     enabling_consumers: Vec<Vec<AttrId>>,
     /// Total number of dependency edges (data + enabling).
     edge_count: usize,
+    /// The structural fingerprint
+    /// ([`crate::journal::schema_fingerprint`]), filled on first use:
+    /// a schema is immutable, so it is a constant — but hashing it
+    /// serializes every enabling condition, so flows that are never
+    /// served, journaled or snapshotted never pay for it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Schema {
+    /// The cached structural fingerprint, running `compute` the first
+    /// time it is asked for.
+    pub(crate) fn fingerprint_or_init(&self, compute: impl FnOnce() -> u64) -> u64 {
+        *self.fingerprint.get_or_init(compute)
+    }
+
     /// Number of attributes (sources included).
     pub fn len(&self) -> usize {
         self.attrs.len()

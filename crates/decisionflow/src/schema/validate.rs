@@ -218,6 +218,7 @@ pub(super) fn build(attrs: Vec<AttrDef>) -> Result<Schema, SchemaError> {
         data_consumers,
         enabling_consumers,
         edge_count,
+        fingerprint: std::sync::OnceLock::new(),
     })
 }
 
