@@ -301,15 +301,12 @@ struct Instance {
     /// The owning shard's shared state.
     ctx: Arc<ShardCtx>,
     runtime: Mutex<InstanceRuntime>,
-    /// Submission entry time (`t0` of [`SubmitTimings`]): the zero
-    /// point of both [`InstanceResult::elapsed`] and the `e2e` stage.
-    started: Instant,
-    /// Durations of the submission-path stages: route/validate are
-    /// measured by the admission pipeline on the caller's thread;
-    /// `validate` additionally includes the runtime-construction time
-    /// spent on the worker, folded in before the instance is built.
-    route: Duration,
-    validate: Duration,
+    /// The submission-path stages, measured by the admission pipeline
+    /// on the caller's thread; `validate` additionally includes the
+    /// runtime-construction time spent on the worker, folded in before
+    /// the instance is built. `t0` is the zero point of both
+    /// [`InstanceResult::elapsed`] and the `e2e` stage.
+    submit: SubmitTimings,
     /// When the build job entered the shard's job queue.
     enqueued_at: Instant,
     /// When a worker picked the build job up; `enqueued_at →
@@ -338,9 +335,6 @@ struct Instance {
     /// Scheduling-round counter for journaled instances (only ever
     /// touched under the runtime lock; atomic for `&self` access).
     rounds: AtomicU32,
-    /// Structural fingerprint of the instance's schema — the key space
-    /// shared by the memo table and the snapshot store.
-    schema_fp: u64,
 }
 
 thread_local! {
@@ -406,13 +400,13 @@ impl Instance {
                     // queue-wait and execute starts; completion is now.
                     let now = Instant::now();
                     let timings = StageTimings {
-                        route_ns: dur_ns(inst.route),
-                        validate_ns: dur_ns(inst.validate),
+                        route_ns: dur_ns(inst.submit.route),
+                        validate_ns: dur_ns(inst.submit.validate),
                         queue_wait_ns: dur_ns(
                             inst.dequeued_at.saturating_duration_since(inst.enqueued_at),
                         ),
                         execute_ns: dur_ns(now.saturating_duration_since(inst.exec_start)),
-                        e2e_ns: dur_ns(now.saturating_duration_since(inst.started)),
+                        e2e_ns: dur_ns(now.saturating_duration_since(inst.submit.t0)),
                     };
                     let deadline_exceeded = inst.deadline.is_some_and(|d| now > d);
                     // Seal the durable tape inside this critical
@@ -430,7 +424,7 @@ impl Instance {
                     }
                     finished = Some(InstanceResult {
                         record: ExecutionRecord::from_runtime(&rt, 0),
-                        elapsed: now.saturating_duration_since(inst.started),
+                        elapsed: now.saturating_duration_since(inst.submit.t0),
                         shard: inst.ctx.index,
                         instance_id: inst.id,
                         label: inst.label.clone(),
@@ -533,14 +527,16 @@ impl Instance {
                     let schema = Arc::clone(rt.schema());
                     drop(rt);
                     match &inst2.ctx.memo {
-                        Some(memo) => match memo.lookup(inst2.schema_fp, attr, &inputs) {
-                            Some(v) => v,
-                            None => {
+                        Some(memo) => {
+                            // The memo table is keyed under the schema's
+                            // fingerprint (cached on the schema).
+                            let fp = schema_fingerprint(&schema);
+                            memo.lookup(fp, attr, &inputs).unwrap_or_else(|| {
                                 let v = schema.attr(attr).task.compute(&inputs);
-                                memo.insert(inst2.schema_fp, attr, inputs, v.clone());
+                                memo.insert(fp, attr, inputs, v.clone());
                                 v
-                            }
-                        },
+                            })
+                        }
                         None => schema.attr(attr).task.compute(&inputs),
                     }
                 };
@@ -778,9 +774,8 @@ fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_a
         wal,
         done_tx,
         deadline,
-        timings,
+        mut timings,
     } = pending;
-    let schema_fp = schema_fingerprint(&schema);
     let built = build_runtime(
         ctx.scratch.take(),
         schema,
@@ -799,13 +794,12 @@ fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_a
         return;
     };
     let built_at = Instant::now();
+    timings.validate += built_at.saturating_duration_since(build_start);
     let inst = Arc::new(Instance {
         id,
         ctx,
         runtime: Mutex::new(runtime),
-        started: timings.t0,
-        route: timings.route,
-        validate: timings.validate + built_at.saturating_duration_since(build_start),
+        submit: timings,
         enqueued_at,
         dequeued_at: build_start,
         exec_start: built_at,
@@ -816,7 +810,6 @@ fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_a
         deadline,
         finished: Mutex::new(false),
         rounds: AtomicU32::new(0),
-        schema_fp,
     });
     Instance::pump(&inst);
 }
@@ -1805,12 +1798,11 @@ impl EngineServer {
                     .append(ctx.index, event)
                     .map_err(|e| SubmitError::Store(e.to_string()))?;
                 timings.validate += append_start.elapsed();
-                let attempt = requeue.unwrap_or(0);
                 Some(Arc::new(WalRecorder::new(
                     Arc::clone(store),
                     ctx.index,
                     id,
-                    attempt,
+                    requeue.unwrap_or(0),
                 )))
             }
         };
@@ -2015,7 +2007,7 @@ impl EngineServer {
         // One contiguous block of each shard's id sequence.
         let mut counts = vec![0u64; n];
         for i in 0..validated.len() {
-            counts[(start + i) % n] += 1;
+            counts[shard_of(i).ctx.index] += 1;
         }
         let mut next_k: Vec<u64> = self
             .shards
@@ -2285,46 +2277,33 @@ mod tests {
                 .durable(true)
         };
         let dir = std::env::temp_dir().join(format!("dflow-batch-{}", std::process::id()));
-        let durable = |sub: &str| {
-            let _ = std::fs::remove_dir_all(dir.join(sub));
-            let server = EngineServer::builder()
-                .shards(4)
-                .workers_per_shard(2)
-                .strategy("PCE100".parse().unwrap())
-                .durable(dir.join(sub))
-                .build()
-                .unwrap();
-            server.register("flow", Arc::clone(&schema));
-            server
-        };
-
-        // The reference: the same requests, one `submit` at a time.
-        let one_by_one = durable("singles");
-        let expected: Vec<(u64, usize)> = sources
-            .iter()
-            .map(|sv| {
-                let t = one_by_one.submit(request(sv)).unwrap();
-                (t.instance_id(), t.shard())
-            })
-            .collect();
-        drop(one_by_one);
-
-        let server = durable("batch");
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = EngineServer::builder()
+            .shards(4)
+            .workers_per_shard(2)
+            .strategy("PCE100".parse().unwrap())
+            .durable(&dir)
+            .build()
+            .unwrap();
+        server.register("flow", Arc::clone(&schema));
         let events = server.subscribe();
+
+        // The reference: 24 requests, one `submit` at a time. The same
+        // 24 as one batch must continue that id and shard sequence.
+        let singles: Vec<Ticket> = sources
+            .iter()
+            .map(|sv| server.submit(request(sv)).unwrap())
+            .collect();
         let entry = Instant::now();
         let tickets = server.submit_many(sources.iter().map(request)).unwrap();
         let returned = Instant::now();
         assert_eq!(tickets.len(), 24);
-        let placed: Vec<(u64, usize)> = tickets
-            .iter()
-            .map(|t| (t.instance_id(), t.shard()))
-            .collect();
-        assert_eq!(placed, expected, "same ids and shards as sequential submit");
-        for t in tickets.iter() {
+        for (single, batched) in singles.iter().zip(tickets.iter()) {
+            assert_eq!(batched.instance_id(), single.instance_id() + 24);
+            assert_eq!(batched.shard(), single.shard());
             // The budget runs from entry into the call, for every member.
-            let zero = t.deadline().expect("budgeted") - budget;
+            let zero = batched.deadline().expect("budgeted") - budget;
             assert!(entry <= zero && zero <= returned, "deadline zero point");
-            assert_eq!(t.deadline(), tickets.iter().next().unwrap().deadline());
         }
         for (t, sv) in tickets.into_iter().zip(&sources) {
             let snap = complete_snapshot(&schema, sv).unwrap();
@@ -2334,31 +2313,33 @@ mod tests {
                 Some(snap.value(schema.lookup("t").unwrap()))
             );
         }
+        for t in singles {
+            t.wait().unwrap();
+        }
         let stats = server.stats();
-        assert_eq!(stats.submitted(), 24);
-        assert_eq!(stats.completed(), 24);
+        assert_eq!(stats.submitted(), 48);
+        assert_eq!(stats.completed(), 48);
         assert!(stats.shards_used() >= 2, "batch must spread across shards");
 
         // Per lane, every Completed follows its own Submitted.
         let mut submitted = std::collections::HashSet::new();
         let mut completed = 0;
         while let Ok(Some(ev)) = events.try_recv() {
+            let id = ev.instance_id();
             match ev {
-                InstanceEvent::Submitted { instance_id, .. } => {
-                    assert!(submitted.insert(instance_id), "one Submitted each");
-                }
-                InstanceEvent::Completed { instance_id, .. } => {
-                    assert!(submitted.contains(&instance_id), "Submitted first");
+                InstanceEvent::Submitted { .. } => assert!(submitted.insert(id), "one each"),
+                InstanceEvent::Completed { .. } => {
+                    assert!(submitted.contains(&id), "Submitted first");
                     completed += 1;
                 }
                 InstanceEvent::Abandoned { .. } => panic!("nothing abandons"),
             }
         }
-        assert_eq!((submitted.len(), completed), (24, 24));
+        assert_eq!((submitted.len(), completed), (48, 48));
 
         // On disk, every instance's accept record precedes its frames.
         drop(server);
-        let mut segments: Vec<_> = std::fs::read_dir(dir.join("batch"))
+        let mut segments: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.extension().is_some_and(|x| x == "seg"))
@@ -2383,7 +2364,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(accepted.len(), 24);
+        assert_eq!(accepted.len(), 48);
         assert!(frames > 0, "durable instances leave frames");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -289,23 +289,18 @@ impl ShardTelemetry {
     /// [type-level docs](ShardTelemetry#snapshot-coherence).
     pub fn stats(&self, shard: usize, workers: usize) -> ShardStats {
         // ordering: each `get` is an Acquire load pairing with the
-        // Release updates; the read order (monotone counters first,
-        // `submitted` last) keeps the record coherent under race.
-        let completed = self.completed.get();
-        let abandoned = self.abandoned.get();
-        let deadline_exceeded = self.deadline_exceeded.get();
-        let queued_jobs = self.jobs_queued.get().max(0) as usize;
-        let in_flight = self.in_flight.get().max(0) as usize;
-        let submitted = self.submitted.get();
+        // Release updates; struct fields are evaluated in the order
+        // written — monotone counters first, `submitted` last — which
+        // keeps the record coherent under race.
         ShardStats {
             shard,
             workers,
-            queued_jobs,
-            in_flight,
-            submitted,
-            completed,
-            abandoned,
-            deadline_exceeded,
+            completed: self.completed.get(),
+            abandoned: self.abandoned.get(),
+            deadline_exceeded: self.deadline_exceeded.get(),
+            queued_jobs: self.jobs_queued.get().max(0) as usize,
+            in_flight: self.in_flight.get().max(0) as usize,
+            submitted: self.submitted.get(),
         }
     }
 

@@ -1289,18 +1289,27 @@ fn run_waves_on(
         wall,
         latency_unit: LatencyUnit::Millis,
     });
-    // A durable run quiesces the WAL before the snapshot, so the
-    // report's `wal_*` metrics cover every append the run enqueued.
+    report.server = Some(server_side(server, shards_seen.len(), None));
+    Ok(report)
+}
+
+/// The server's end-of-run view for the report. A durable run
+/// quiesces the WAL before the snapshot, so the report's `wal_*`
+/// metrics cover every append the run enqueued.
+fn server_side(
+    server: &EngineServer,
+    shards_used: usize,
+    pacer: Option<PacerStats>,
+) -> ServerSideStats {
     if let Some(store) = server.store() {
         let _ = store.sync();
     }
-    report.server = Some(ServerSideStats {
+    ServerSideStats {
         stats: server.stats(),
-        shards_used: shards_seen.len(),
+        shards_used,
         telemetry: server.telemetry().snapshot(),
-        pacer: None,
-    });
-    Ok(report)
+        pacer,
+    }
 }
 
 /// Deterministic per-wave source perturbation for resubmission churn:
@@ -1328,10 +1337,10 @@ fn resub_request(
     delta: bool,
     durable: bool,
 ) -> Request {
-    let fidx = c % workload.flows.len();
-    let flow = &workload.flows[fidx];
-    let mut sources = flow.sources.clone();
+    let mut req = server_request(workload, strategy, c, durable).label(format!("client{c}"));
     if wave > 0 && churn > 0 {
+        let flow = &workload.flows[c % workload.flows.len()];
+        let mut sources = flow.sources.clone();
         let srcs = flow.schema.sources();
         for k in 0..churn.min(srcs.len()) {
             let a = srcs[(wave * churn + k) % srcs.len()];
@@ -1339,18 +1348,10 @@ fn resub_request(
                 sources.set(a, perturb(v, wave));
             }
         }
+        req = req.sources(sources);
     }
-    let mut req = Request::named(format!("flow{fidx}"))
-        .sources(sources)
-        .options(workload.options)
-        .strategy(strategy)
-        .durable(durable)
-        .label(format!("client{c}"));
     if wave > 0 && delta {
         req = req.delta_by_label();
-    }
-    if let Some(budget) = workload.deadline {
-        req = req.deadline(budget);
     }
     req
 }
@@ -1567,17 +1568,7 @@ fn run_open_on(
         wall,
         latency_unit: LatencyUnit::Millis,
     });
-    // A durable run quiesces the WAL before the snapshot, so the
-    // report's `wal_*` metrics cover every append the run enqueued.
-    if let Some(store) = server.store() {
-        let _ = store.sync();
-    }
-    report.server = Some(ServerSideStats {
-        stats: server.stats(),
-        shards_used: shards_seen.len(),
-        telemetry: server.telemetry().snapshot(),
-        pacer: Some(pacer_stats),
-    });
+    report.server = Some(server_side(server, shards_seen.len(), Some(pacer_stats)));
     Ok(report)
 }
 
