@@ -23,11 +23,11 @@
 //!
 //! Task bodies sleep `cost × unit_delay` ([`with_unit_delay`]) to
 //! model remote-service queries, so worker capacity is the finite
-//! resource and throughput measures work actually avoided — CI gates
-//! `warm ≥ 3× cold` via `bench_gate delta`.
+//! resource and throughput measures work actually avoided — `--smoke`
+//! asserts warm ≥ [`MIN_SPEEDUP`] × cold.
 //!
-//! Flags: `--smoke` (CI-sized run), `--json PATH` (BENCH_*.json
-//! snapshot for the gate).
+//! Flags: `--smoke` (CI-sized run, with its assertions), `--json PATH`
+//! (BENCH_*.json snapshot).
 //!
 //! [`Arrival::Resubmission`]: dflowperf::Arrival::Resubmission
 //! [`with_unit_delay`]: dflowgen::GeneratedFlow::with_unit_delay
@@ -41,6 +41,9 @@ use decisionflow::prelude::{Expr, SchemaBuilder, SourceValues, Task, Value};
 use dflow_bench::harness::{f1, f2, ResultTable};
 use dflowgen::{GeneratedFlow, PatternParams};
 use dflowperf::{Arrival, Server, Workload};
+
+/// Smoke floor: warm goodput over cold goodput.
+const MIN_SPEEDUP: f64 = 3.0;
 
 struct Args {
     smoke: bool,
@@ -139,6 +142,7 @@ fn main() {
             "memo_hit_pct",
         ],
     );
+    let mut goodput = Vec::new();
     for (mode, delta_rate, memoize) in [("cold", 0.0, 0), ("warm", 1.0, 4096)] {
         let r = Workload::new(vec![flow.clone()])
             .arrivals(Arrival::Resubmission {
@@ -160,6 +164,7 @@ fn main() {
             })
             .expect("resubmission run");
         assert_eq!(r.completed, clients * waves);
+        goodput.push(r.throughput_per_sec);
         let (reused, reexec) = r.delta_counts().unwrap_or((0, 0));
         if args.smoke && mode == "warm" {
             assert!(reused > 0, "smoke: warm mode must reuse snapshot values");
@@ -180,5 +185,13 @@ fn main() {
     t.emit("delta_speedup.csv");
     if let Some(path) = &args.json {
         t.emit_json(path);
+    }
+    // Last, so a failing floor still leaves the table behind.
+    if args.smoke {
+        let speedup = goodput[1] / goodput[0];
+        assert!(
+            speedup >= MIN_SPEEDUP,
+            "smoke: warm goodput is only {speedup:.2}× cold (floor {MIN_SPEEDUP}×)"
+        );
     }
 }

@@ -29,7 +29,10 @@
 //!   1/4 of the instances) sized for CI: it proves the sweep runs
 //!   end to end and seeds the perf trajectory without spending
 //!   minutes; it also *asserts* that every stage histogram of every
-//!   run is non-empty, so a silently dead telemetry path fails CI;
+//!   run is non-empty, so a silently dead telemetry path fails CI,
+//!   and that every strategy's 4-shard throughput is at least
+//!   [`MIN_SCALING`] × its 1-shard throughput (a self-relative floor:
+//!   the sweep is sleep-bound, so it holds on any host);
 //! * `--json PATH` — additionally emit the result table as a
 //!   `BENCH_*.json` snapshot (see `ResultTable::to_json`), which the
 //!   CI bench-smoke job publishes into the job summary;
@@ -76,6 +79,10 @@ fn parse_args() -> Args {
     }
     Args { smoke, json, prom }
 }
+
+/// Smoke floor: 4-shard throughput over 1-shard throughput, per
+/// strategy. Ideal is 4×; flat scaling reads ≈ 1×.
+const MIN_SCALING: f64 = 2.5;
 
 /// The stages the sweep-wide breakdown table reports, in pipeline
 /// order (matching `decisionflow::telemetry::Stage::ALL`).
@@ -130,6 +137,8 @@ fn main() {
     // Sweep-wide per-stage histograms, merged across every run.
     let mut merged: Vec<HistogramSnapshot> = vec![HistogramSnapshot::default(); STAGES.len()];
     let mut last_snapshot: Option<TelemetrySnapshot> = None;
+    // Throughput per (shards, strategy) cell, for the smoke floor.
+    let mut throughput: Vec<(usize, Strategy, f64)> = Vec::new();
     for &shards in shard_counts {
         for &strategy in &strategies {
             let out = Workload::new(flows.clone())
@@ -177,6 +186,7 @@ fn main() {
                 f2(e2e.p99_ms()),
             ]);
             last_snapshot = Some(tele.clone());
+            throughput.push((shards, strategy, out.throughput_per_sec));
         }
     }
     t.emit("shard_scaling.csv");
@@ -205,6 +215,24 @@ fn main() {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
             println!("prometheus exposition -> {}", path.display());
+        }
+    }
+
+    // Last, so a failing floor still leaves the tables behind.
+    if args.smoke {
+        for &strategy in &strategies {
+            let at = |n: usize| {
+                throughput
+                    .iter()
+                    .find(|&&(shards, s, _)| shards == n && s == strategy)
+                    .map(|&(_, _, ips)| ips)
+                    .expect("the smoke matrix has 1 and 4 shards")
+            };
+            let ratio = at(4) / at(1);
+            assert!(
+                ratio >= MIN_SCALING,
+                "smoke: {strategy} scales only {ratio:.2}× from 1 to 4 shards (floor {MIN_SCALING}×)"
+            );
         }
     }
 }

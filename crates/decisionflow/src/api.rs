@@ -53,11 +53,12 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvErr
 use parking_lot::Mutex;
 
 use crate::engine::{unit_exec, ExecError, RuntimeOptions, Strategy, UnitOutcome};
-use crate::journal::Journal;
+use crate::journal::{Journal, JournalWriter};
 use crate::schema::{AttrId, Schema};
 use crate::server::{InstanceResult, ServerGone};
 use crate::snapshot::SourceValues;
 use crate::statestore::{DeltaError, InstanceSnapshot};
+use crate::store::WalRecorder;
 use crate::value::Value;
 
 /// How a delta resubmission identifies the prior snapshot to splice
@@ -506,6 +507,38 @@ impl std::fmt::Debug for RunReport {
     }
 }
 
+/// The flight recorder `request` asks for, over an instance of `schema`
+/// under `strategy` — the one place the journaling options turn into
+/// outputs: a streaming sink (taken here, once; it takes precedence) or
+/// else an in-memory capture, plus `wal`, the write-ahead output the
+/// server supplies for a durable request. `None` when the request asks
+/// for no output at all. Callers validate first: a rejected request
+/// must not consume its sink.
+pub(crate) fn recorder_for(
+    request: &Request,
+    schema: &Schema,
+    strategy: Strategy,
+    wal: Option<WalRecorder>,
+) -> Result<Option<JournalWriter>, RequestError> {
+    let tape = match &request.journal_stream {
+        Some(stream) => Some(stream.take().ok_or(RequestError::StreamConsumed)?),
+        None => None,
+    };
+    let memory = request.record_journal && tape.is_none();
+    if !memory && tape.is_none() && wal.is_none() {
+        return Ok(None);
+    }
+    Ok(Some(JournalWriter::with_outputs(
+        schema,
+        strategy,
+        &request.sources,
+        request.options.disable_backward,
+        memory,
+        tape,
+        wal,
+    )))
+}
+
 /// Execute a request in-process under the infinite-resource unit-time
 /// model (the §5 executor). Requires an inline schema
 /// ([`Request::with_schema`]) and an explicit [`Request::strategy`].
@@ -544,22 +577,14 @@ pub fn run(request: &Request) -> Result<RunReport, ExecError> {
         ),
     };
     let retained = plan.as_ref().map_or(&[][..], |p| p.retained.as_slice());
-    let journal_mode = match &request.journal_stream {
-        Some(stream) => unit_exec::JournalMode::Stream(
-            stream
-                .take()
-                .ok_or(ExecError::Request(RequestError::StreamConsumed))?,
-        ),
-        None if request.record_journal => unit_exec::JournalMode::Memory,
-        None => unit_exec::JournalMode::Off,
-    };
+    let recorder = recorder_for(request, schema, strategy, None).map_err(ExecError::Request)?;
     let (outcome, journal) = unit_exec::execute(
         schema,
         strategy,
         &request.sources,
         retained,
         request.options,
-        journal_mode,
+        recorder,
     )?;
     Ok(RunReport { outcome, journal })
 }

@@ -7,13 +7,19 @@
 //!    ([`InstanceRuntime::complete`]); exit when all targets stable.
 //! 2. **Prequalifying** — the Propagation Algorithm identifies eligible
 //!    candidates and eliminates unneeded ones
-//!    ([`InstanceRuntime::candidates`]).
+//!    ([`InstanceRuntime::candidates_into`]).
 //! 3. **Scheduling** — the heuristics pick which candidates to launch
-//!    ([`scheduler::select`]).
+//!    ([`scheduler::select_into`]) and the picks are launched.
 //!
-//! [`unit_exec::run_unit_time`] wires the loop to an infinite-resource
-//! unit-time clock; finite-resource execution against the simulated
-//! database lives in the `dflowperf` crate, reusing the same runtime.
+//! Phases 2 and 3 are one call, [`InstanceRuntime::round`], which also
+//! journals the round when the runtime carries a recorder; every driver
+//! runs it and differs only in where the launched task bodies execute
+//! and when their results come back. [`unit_exec::run_unit_time`] wires
+//! the loop to an infinite-resource unit-time clock, the
+//! [`EngineServer`](crate::server::EngineServer) to its shard worker
+//! pools, journal replay to a recorded tape, and the `dflowperf` crate
+//! to the simulated finite-resource database — the same runtime and
+//! the same round in each.
 
 pub mod metrics;
 pub mod runtime;

@@ -40,12 +40,14 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::engine::metrics::InstanceMetrics;
+use crate::engine::scheduler;
 use crate::engine::strategy::Strategy;
 use crate::expr::{AttrView, Tri, ValueEnv};
-use crate::journal::{Event, JournalSink};
+use crate::journal::{Event, JournalWriter, Sealed};
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{CompleteSnapshot, FinalState, SnapshotError, SourceValues};
 use crate::state::AttrState;
+use crate::store::SealOutcome;
 use crate::value::Value;
 
 /// Engine options beyond the paper's four strategy letters, used for
@@ -63,7 +65,7 @@ pub struct RuntimeOptions {
 /// server's submission hot path that cost is paid once per instance.
 /// A scratch holds those buffers after an instance retires
 /// ([`InstanceRuntime::reclaim`]) so the next construction on the same
-/// shard ([`InstanceRuntime::with_options_retained_in`]) reuses the
+/// shard ([`InstanceRuntime::with_options_retained`]) reuses the
 /// capacity instead of round-tripping the allocator. A `Default`
 /// scratch is empty and behaves exactly like allocating fresh.
 #[derive(Default)]
@@ -80,6 +82,7 @@ pub struct RuntimeScratch {
     target_alive: Vec<bool>,
     pool: Vec<AttrId>,
     in_pool: Vec<bool>,
+    picks: Vec<AttrId>,
     stable_queue: VecDeque<AttrId>,
 }
 
@@ -103,6 +106,7 @@ impl RuntimeScratch {
         refill(&mut self.target_alive, n, false);
         refill(&mut self.in_pool, n, false);
         self.pool.clear();
+        self.picks.clear();
         self.stable_queue.clear();
     }
 }
@@ -123,6 +127,8 @@ pub struct InstanceRuntime {
     /// Unstable enabling references remaining, per attribute.
     pending_refs: Vec<u32>,
     in_flight: Vec<bool>,
+    /// How many entries of `in_flight` are set.
+    in_flight_n: usize,
 
     need_count: Vec<u32>,
     enab_edges_dead: Vec<bool>,
@@ -132,6 +138,11 @@ pub struct InstanceRuntime {
 
     pool: Vec<AttrId>,
     in_pool: Vec<bool>,
+    /// The scheduling round's working buffer: the pool going in, the
+    /// picks coming out ([`InstanceRuntime::round`]).
+    picks: Vec<AttrId>,
+    /// Scheduling rounds run so far over a non-empty pool.
+    rounds: u32,
 
     /// Newly stable attributes awaiting propagation.
     stable_queue: VecDeque<AttrId>,
@@ -139,9 +150,11 @@ pub struct InstanceRuntime {
     /// ([`InstanceRuntime::with_options_retained`]); 0 on cold runs.
     retained: u32,
     metrics: InstanceMetrics,
-    /// Flight recorder for the journal subsystem. `None` (the default)
-    /// keeps the hot path at a single branch per event site.
-    sink: Option<Box<dyn JournalSink>>,
+    /// The flight recorder. `None` (the default, and again once
+    /// sealed) keeps the hot path at a single branch per event site.
+    recorder: Option<JournalWriter>,
+    /// Set by the first [`InstanceRuntime::seal`].
+    sealed: bool,
 }
 
 /// The runtime cannot make progress although targets are unstable —
@@ -195,7 +208,7 @@ impl InstanceRuntime {
         sources: &SourceValues,
         options: RuntimeOptions,
     ) -> Result<Self, SnapshotError> {
-        Self::build(
+        Self::with_options_retained(
             schema,
             strategy,
             sources,
@@ -206,9 +219,9 @@ impl InstanceRuntime {
         )
     }
 
-    /// Delta-resubmission construction: like
-    /// [`InstanceRuntime::with_options`], but every `(attr, state,
-    /// value)` entry of `retained` is **adopted** from a prior
+    /// The full construction, which delta resubmission and recording
+    /// need: like [`InstanceRuntime::with_options`], but every `(attr,
+    /// state, value)` entry of `retained` is **adopted** from a prior
     /// instance's stabilized outcome instead of recomputed — the
     /// attribute starts pre-stabilized (emitting an
     /// [`Event::Retained`] frame when recording) and only the
@@ -218,51 +231,19 @@ impl InstanceRuntime {
     /// dependency is itself retained or an unchanged source — exactly
     /// what [`plan_delta`](crate::statestore::plan_delta) produces.
     ///
-    /// A `sink` records every engine control decision — including the
-    /// eager decisions made during initialization, which is why it
-    /// must be supplied at construction. With no `retained` entries
-    /// this is the plain recorded construction.
+    /// A `recorder` journals every engine control decision — including
+    /// the eager decisions made during initialization, which is why it
+    /// must be supplied at construction — and the scheduling rounds of
+    /// [`InstanceRuntime::round`]. The per-attribute vectors are built
+    /// into `scratch`, reusing a retired instance's capacity; callers
+    /// without an arena pass `RuntimeScratch::default()`.
     pub fn with_options_retained(
         schema: Arc<Schema>,
         strategy: Strategy,
         sources: &SourceValues,
         retained: &[(AttrId, AttrState, Value)],
         options: RuntimeOptions,
-        sink: Option<Box<dyn JournalSink>>,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(
-            schema,
-            strategy,
-            sources,
-            retained,
-            options,
-            sink,
-            RuntimeScratch::default(),
-        )
-    }
-
-    /// Like [`InstanceRuntime::with_options_retained`], building into a
-    /// reclaimed [`RuntimeScratch`] so the per-attribute vectors reuse
-    /// a retired instance's capacity instead of allocating fresh.
-    pub fn with_options_retained_in(
-        scratch: RuntimeScratch,
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        retained: &[(AttrId, AttrState, Value)],
-        options: RuntimeOptions,
-        sink: Option<Box<dyn JournalSink>>,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(schema, strategy, sources, retained, options, sink, scratch)
-    }
-
-    fn build(
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        retained: &[(AttrId, AttrState, Value)],
-        options: RuntimeOptions,
-        sink: Option<Box<dyn JournalSink>>,
+        recorder: Option<JournalWriter>,
         mut scratch: RuntimeScratch,
     ) -> Result<Self, SnapshotError> {
         sources.validate(&schema)?;
@@ -277,6 +258,7 @@ impl InstanceRuntime {
             pending_inputs: scratch.pending_inputs,
             pending_refs: scratch.pending_refs,
             in_flight: scratch.in_flight,
+            in_flight_n: 0,
             need_count: scratch.need_count,
             enab_edges_dead: scratch.enab_edges_dead,
             data_edges_dead: scratch.data_edges_dead,
@@ -284,10 +266,13 @@ impl InstanceRuntime {
             unstable_targets: 0,
             pool: scratch.pool,
             in_pool: scratch.in_pool,
+            picks: scratch.picks,
+            rounds: 0,
             stable_queue: scratch.stable_queue,
             retained: 0,
             metrics: InstanceMetrics::new(),
-            sink,
+            recorder,
+            sealed: false,
             schema,
         };
         rt.initialize(sources, retained);
@@ -315,6 +300,7 @@ impl InstanceRuntime {
             target_alive: std::mem::take(&mut self.target_alive),
             pool: std::mem::take(&mut self.pool),
             in_pool: std::mem::take(&mut self.in_pool),
+            picks: std::mem::take(&mut self.picks),
             stable_queue: std::mem::take(&mut self.stable_queue),
         }
     }
@@ -419,20 +405,46 @@ impl InstanceRuntime {
         self.drain_propagation();
     }
 
-    /// Forward an event to the journal sink, if one is attached. Call
+    /// Forward an event to the recorder, if one is attached. Call
     /// sites guard with [`InstanceRuntime::recording`] before building
     /// events that clone values.
     #[inline]
     fn emit(&mut self, event: Event) {
-        if let Some(sink) = &mut self.sink {
-            sink.record(event);
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record(event);
         }
     }
 
-    /// Is a journal sink attached?
+    /// Is a recorder attached (and not yet sealed)?
     #[inline]
     pub fn recording(&self) -> bool {
-        self.sink.is_some()
+        self.recorder.is_some()
+    }
+
+    /// The attached recorder: replay reads the frames its live runtime
+    /// emitted through here.
+    pub fn recorder(&self) -> Option<&JournalWriter> {
+        self.recorder.as_ref()
+    }
+
+    /// Has [`seal`](Self::seal) run?
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.sealed
+    }
+
+    /// End the instance's recording, once: the recorder is given up
+    /// and sealed ([`JournalWriter::seal`]), so whatever the runtime
+    /// does afterwards — speculative stragglers completing past the
+    /// delivered result — is journaled nowhere. Drivers seal at the
+    /// point they take the instance's result. Every later call, and
+    /// every call on a runtime that never recorded, hands back an
+    /// empty [`Sealed`].
+    pub(crate) fn seal(&mut self, time: u64, outcome: SealOutcome) -> Sealed {
+        self.sealed = true;
+        self.recorder
+            .take()
+            .map(|recorder| recorder.seal(time, outcome))
+            .unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -501,7 +513,7 @@ impl InstanceRuntime {
 
     /// Number of tasks currently in flight.
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.iter().filter(|b| **b).count()
+        self.in_flight_n
     }
 
     // ------------------------------------------------------------------
@@ -527,19 +539,12 @@ impl InstanceRuntime {
         }
     }
 
-    /// The candidate attribute pool: prequalified tasks eligible for
-    /// scheduling right now. Invalid entries are pruned; entries that
-    /// may become eligible again later are retained.
-    pub fn candidates(&mut self) -> Vec<AttrId> {
-        let mut out = Vec::with_capacity(self.pool.len());
-        self.candidates_into(&mut out);
-        out
-    }
-
-    /// [`candidates`](Self::candidates) into a caller-owned buffer
-    /// (cleared first): the scheduling loop reuses one buffer across
-    /// rounds instead of allocating per round. The pool itself is
-    /// compacted in place.
+    /// The candidate attribute pool — prequalified tasks eligible for
+    /// scheduling right now — into a caller-owned buffer (cleared
+    /// first), so a scheduling loop reuses one buffer across rounds.
+    /// Invalid entries are pruned from the pool, which is compacted in
+    /// place; entries that may become eligible again later are
+    /// retained.
     pub fn candidates_into(&mut self, out: &mut Vec<AttrId>) {
         out.clear();
         let mut w = 0;
@@ -559,12 +564,46 @@ impl InstanceRuntime {
         self.pool.truncate(w);
     }
 
+    /// One scheduling round — phases 2 and 3 of the loop: prequalify
+    /// the pool, let the [`scheduler`] pick what `%Permitted` allows,
+    /// journal the round when recording (pool and picks, ahead of the
+    /// launches they cause, so replay re-derives the same frame order;
+    /// an empty pool is not a round), and [`launch`](Self::launch) each
+    /// pick. The picks and their input values are appended to
+    /// `launches` in launch order for the driver to run the task bodies.
+    ///
+    /// Apart from those input values an unrecorded round allocates
+    /// nothing: it works in a buffer the runtime owns.
+    pub fn round(&mut self, launches: &mut Vec<(AttrId, Vec<Value>)>) {
+        let mut picks = std::mem::take(&mut self.picks);
+        self.candidates_into(&mut picks);
+        if !picks.is_empty() {
+            let candidates = self.recording().then(|| picks.clone());
+            let in_flight = self.in_flight_count();
+            scheduler::select_into(&self.schema, self.strategy, &mut picks, in_flight);
+            if let Some(candidates) = candidates {
+                self.emit(Event::Round {
+                    round: self.rounds,
+                    candidates,
+                    picked: picks.clone(),
+                });
+                self.rounds += 1;
+            }
+            for &a in &picks {
+                let inputs = self.launch(a);
+                launches.push((a, inputs));
+            }
+        }
+        self.picks = picks;
+    }
+
     /// Commit to executing `a`'s task: records the work (queries are
     /// never cancelled once sent) and returns the input values for the
     /// task body. Panics if `a` is not a valid candidate.
     pub fn launch(&mut self, a: AttrId) -> Vec<Value> {
         assert!(self.is_candidate(a), "launch of non-candidate {a:?}");
         self.in_flight[a.index()] = true;
+        self.in_flight_n += 1;
         self.metrics.launched += 1;
         self.metrics.work += self.schema.cost(a);
         if self.recording() {
@@ -608,6 +647,7 @@ impl InstanceRuntime {
             });
         }
         self.in_flight[i] = false;
+        self.in_flight_n -= 1;
         // The task has produced its value: its inputs are no longer
         // needed on account of `a`.
         self.kill_data_in_edges(a);
@@ -872,6 +912,13 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The current candidate pool.
+    fn candidates(rt: &mut InstanceRuntime) -> Vec<AttrId> {
+        let mut out = Vec::new();
+        rt.candidates_into(&mut out);
+        out
+    }
+
     /// The give_promo cascade of §4: expendable_income = 0 disables
     /// give_promo, which disables the presentation chain, which makes
     /// promo_hit_list unneeded.
@@ -932,7 +979,7 @@ mod tests {
         // hit_list is enabled (condition true) and ready, but its only
         // consumer is disabled: backward propagation prunes it.
         assert!(!rt.is_needed(hit));
-        assert!(rt.candidates().is_empty());
+        assert!(candidates(&mut rt).is_empty());
         assert!(rt.metrics().unneeded_detected >= 1);
     }
 
@@ -943,7 +990,7 @@ mod tests {
         // Even naive mode decides give_promo (no unstable refs) and the
         // downstream conditions; but hit_list stays in the pool.
         assert!(rt.is_needed(hit), "naive mode never prunes");
-        let pool = rt.candidates();
+        let pool = candidates(&mut rt);
         assert_eq!(pool, vec![hit]);
     }
 
@@ -958,7 +1005,7 @@ mod tests {
         while !rt.is_complete() {
             guard += 1;
             assert!(guard < 100, "runaway loop");
-            let cands = rt.candidates();
+            let cands = candidates(&mut rt);
             assert!(
                 !cands.is_empty() || rt.in_flight_count() > 0,
                 "stalled: {:?}",
@@ -1012,7 +1059,7 @@ mod tests {
             AttrState::Ready,
             "inputs stable, cond unknown"
         );
-        let pool = rt.candidates();
+        let pool = candidates(&mut rt);
         assert_eq!(pool, vec![gate], "conservative: only READY+ENABLED");
     }
 
@@ -1022,7 +1069,7 @@ mod tests {
         let q2 = schema.lookup("q2").unwrap();
         let gate = schema.lookup("gate").unwrap();
         let mut rt = InstanceRuntime::new(Arc::clone(&schema), strat("PSE100"), &sv).unwrap();
-        let pool = rt.candidates();
+        let pool = candidates(&mut rt);
         assert!(pool.contains(&q2) && pool.contains(&gate));
         // Launch q2 speculatively; it completes while gate is pending.
         let inputs = rt.launch(q2);
@@ -1046,7 +1093,7 @@ mod tests {
         let q2 = schema.lookup("q2").unwrap();
         let gate = schema.lookup("gate").unwrap();
         let mut rt = InstanceRuntime::new(Arc::clone(&schema), strat("PSE100"), &sv).unwrap();
-        rt.candidates();
+        candidates(&mut rt);
         let inputs = rt.launch(q2);
         let v = schema.attr(q2).task.compute(&inputs);
         rt.complete(q2, v);
@@ -1058,7 +1105,7 @@ mod tests {
         assert_eq!(rt.metrics().wasted_work, 4);
         // Target runs with ⊥ input.
         let t = schema.lookup("t").unwrap();
-        let pool = rt.candidates();
+        let pool = candidates(&mut rt);
         assert_eq!(pool, vec![t]);
     }
 
@@ -1068,7 +1115,7 @@ mod tests {
         let q2 = schema.lookup("q2").unwrap();
         let gate = schema.lookup("gate").unwrap();
         let mut rt = InstanceRuntime::new(Arc::clone(&schema), strat("PSE100"), &sv).unwrap();
-        rt.candidates();
+        candidates(&mut rt);
         // Launch q2 speculatively, then resolve the gate to false
         // while q2 is still in flight.
         let _ = rt.launch(q2);
@@ -1104,7 +1151,7 @@ mod tests {
         let mut sv = SourceValues::new();
         sv.set(schema.lookup("s").unwrap(), 0i64);
         let mut rt = InstanceRuntime::new(Arc::clone(&schema), strat("PCE100"), &sv).unwrap();
-        rt.candidates();
+        candidates(&mut rt);
         let f = schema.lookup("fast").unwrap();
         let inputs = rt.launch(f);
         rt.complete(f, schema.attr(f).task.compute(&inputs));
@@ -1138,7 +1185,7 @@ mod tests {
         let mut sv = SourceValues::new();
         sv.set(schema.lookup("s").unwrap(), 0i64);
         let mut rt = InstanceRuntime::new(Arc::clone(&schema), strat("NCE100"), &sv).unwrap();
-        rt.candidates();
+        candidates(&mut rt);
         let f = schema.lookup("fast").unwrap();
         let inputs = rt.launch(f);
         rt.complete(f, schema.attr(f).task.compute(&inputs));
@@ -1165,7 +1212,76 @@ mod tests {
         assert!(rt.is_needed(hit), "backward disabled: no pruning");
         // Forward propagation still decided everything downstream.
         assert!(rt.is_complete());
-        assert_eq!(rt.candidates(), vec![hit]);
+        assert_eq!(candidates(&mut rt), vec![hit]);
+    }
+
+    #[test]
+    fn round_journals_itself_and_launches_the_same_picks_unrecorded() {
+        let (schema, ..) = promo_like();
+        let mut sv = SourceValues::new();
+        sv.set(schema.lookup("income").unwrap(), 500i64);
+        let mut empty_rounds = 0;
+        for s in ["PCE0", "PCE50", "PCE100", "PSC100", "NSC60"] {
+            let mut rec = InstanceRuntime::with_options_retained(
+                Arc::clone(&schema),
+                strat(s),
+                &sv,
+                &[],
+                RuntimeOptions::default(),
+                Some(JournalWriter::new(&schema, strat(s), &sv)),
+                RuntimeScratch::default(),
+            )
+            .unwrap();
+            let mut plain = InstanceRuntime::new(Arc::clone(&schema), strat(s), &sv).unwrap();
+            assert!(rec.recording() && !plain.recording());
+            let (mut launched, mut plain_launched) = (Vec::new(), Vec::new());
+            let mut in_flight = VecDeque::new();
+            let mut rounds = 0u32;
+            while !rec.is_complete() {
+                let pool = candidates(&mut rec);
+                let before = rec.recorder().unwrap().frames().len();
+                rec.round(&mut launched);
+                plain.round(&mut plain_launched);
+                assert_eq!(launched, plain_launched, "{s}: same picks, same inputs");
+                let emitted = &rec.recorder().unwrap().frames()[before..];
+                if pool.is_empty() {
+                    assert!(emitted.is_empty(), "{s}: an empty pool is not a round");
+                    empty_rounds += 1;
+                } else {
+                    let Event::Round {
+                        round,
+                        candidates,
+                        picked,
+                    } = &emitted[0].event
+                    else {
+                        panic!("{s}: round frame first, got {:?}", emitted[0]);
+                    };
+                    assert_eq!(*round, rounds, "{s}: round numbers dense from 0");
+                    rounds += 1;
+                    assert_eq!(*candidates, pool, "{s}");
+                    assert!(picked.iter().all(|a| candidates.contains(a)), "{s}");
+                    let launch_frames: Vec<AttrId> = emitted[1..]
+                        .iter()
+                        .map(|f| match f.event {
+                            Event::Launch { attr, .. } => attr,
+                            ref other => panic!("{s}: launch frames only, got {other:?}"),
+                        })
+                        .collect();
+                    assert_eq!(launch_frames, *picked, "{s}: launches in pick order");
+                    let launched_attrs: Vec<AttrId> = launched.iter().map(|(a, _)| *a).collect();
+                    assert_eq!(launched_attrs, *picked, "{s}");
+                }
+                in_flight.extend(launched.drain(..));
+                plain_launched.clear();
+                let (a, inputs) = in_flight.pop_front().expect("not stalled");
+                let v = schema.attr(a).task.compute(&inputs);
+                rec.complete(a, v.clone());
+                plain.complete(a, v);
+            }
+            assert!(plain.is_complete(), "{s}");
+            assert_eq!(plain.metrics().work, rec.metrics().work, "{s}");
+        }
+        assert!(empty_rounds > 0, "some round saw an empty pool");
     }
 
     #[test]
@@ -1173,7 +1289,7 @@ mod tests {
         let (schema, sv) = speculative_schema();
         let q2 = schema.lookup("q2").unwrap();
         let mut rt = InstanceRuntime::new(schema, strat("PCE100"), &sv).unwrap();
-        rt.candidates();
+        candidates(&mut rt);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.launch(q2)));
         assert!(r.is_err(), "q2 is READY but not enabled under C");
     }

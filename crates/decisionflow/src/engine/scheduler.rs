@@ -29,27 +29,16 @@ pub fn order_candidates(schema: &Schema, heuristic: Heuristic, candidates: &mut 
     }
 }
 
-/// Select the tasks to launch this round: orders the pool by the
-/// heuristic, computes the launch budget from `%Permitted`, and
-/// returns the prefix that fits.
+/// Select the tasks to launch this round, in place on a caller-owned
+/// buffer: orders the pool by the heuristic, computes the launch
+/// budget from `%Permitted`, and truncates the buffer to the prefix
+/// that fits, so a scheduling loop can reuse one allocation across
+/// rounds.
 ///
 /// The budget comes from [`Strategy::launch_budget`], which owns the
 /// cap/select contract: the concurrency cap counts tasks *including*
 /// those already running and may be smaller than `in_flight`, in which
-/// case the budget (and the returned prefix) is empty.
-pub fn select(
-    schema: &Schema,
-    strategy: Strategy,
-    mut candidates: Vec<AttrId>,
-    in_flight: usize,
-) -> Vec<AttrId> {
-    select_into(schema, strategy, &mut candidates, in_flight);
-    candidates
-}
-
-/// [`select`] operating in place on a caller-owned buffer: the buffer
-/// is ordered by the heuristic and truncated to the launch budget, so
-/// a scheduling loop can reuse one allocation across rounds.
+/// case the budget (and the remaining prefix) is empty.
 pub fn select_into(
     schema: &Schema,
     strategy: Strategy,
@@ -72,6 +61,16 @@ mod tests {
     use crate::expr::Expr;
     use crate::schema::SchemaBuilder;
     use crate::task::Task;
+
+    fn select(
+        schema: &Schema,
+        strategy: Strategy,
+        mut candidates: Vec<AttrId>,
+        in_flight: usize,
+    ) -> Vec<AttrId> {
+        select_into(schema, strategy, &mut candidates, in_flight);
+        candidates
+    }
 
     /// Fan-out: src feeds q0..q3 with costs 7, 1, 5, 3; t consumes all.
     fn fanout() -> (Schema, Vec<AttrId>) {

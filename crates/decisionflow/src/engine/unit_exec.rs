@@ -16,13 +16,13 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::engine::metrics::InstanceMetrics;
-use crate::engine::runtime::{InstanceRuntime, RuntimeOptions, Stalled};
-use crate::engine::scheduler;
+use crate::engine::runtime::{InstanceRuntime, RuntimeOptions, RuntimeScratch, Stalled};
 use crate::engine::strategy::Strategy;
-use crate::journal::{Event, Journal, JournalWriter, SharedJournalWriter};
+use crate::journal::{Journal, JournalWriter};
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{SnapshotError, SourceValues};
 use crate::state::AttrState;
+use crate::store::SealOutcome;
 use crate::value::Value;
 
 /// Result of a unit-time execution.
@@ -104,23 +104,10 @@ impl Ord for Completion {
     }
 }
 
-/// How an in-process execution journals itself.
-pub(crate) enum JournalMode {
-    /// No journaling: the hot path pays one `Option` test per event
-    /// site and nothing else.
-    Off,
-    /// Buffered capture: the journal comes back in memory.
-    Memory,
-    /// Streaming capture: frames flush to the sink as they are
-    /// produced (JSON-lines wire format, O(1) frames in memory); the
-    /// footer is written when the instance completes.
-    Stream(Box<dyn std::io::Write + Send>),
-}
-
 /// The one in-process execution path behind every public entry point:
 /// [`run_unit_time`] and [`crate::api::run`] both funnel through
-/// here, so journaling is a mode, not a parallel code path. A
-/// non-empty `retained` slice (from
+/// here, so journaling is a `recorder` or none, not a parallel code
+/// path. A non-empty `retained` slice (from
 /// [`plan_delta`](crate::statestore::plan_delta)) splices prior
 /// snapshot values in pre-stabilized — the delta-resubmission path.
 pub(crate) fn execute(
@@ -129,45 +116,28 @@ pub(crate) fn execute(
     sources: &SourceValues,
     retained: &[(AttrId, AttrState, Value)],
     options: RuntimeOptions,
-    journal: JournalMode,
+    recorder: Option<JournalWriter>,
 ) -> Result<(UnitOutcome, Option<Journal>), ExecError> {
-    let recorder = match journal {
-        JournalMode::Off => {
-            let rt = InstanceRuntime::with_options_retained(
-                Arc::clone(schema),
-                strategy,
-                sources,
-                retained,
-                options,
-                None,
-            )?;
-            return drive(schema, strategy, rt, None).map(|out| (out, None));
-        }
-        JournalMode::Memory => {
-            SharedJournalWriter::new(JournalWriter::new(schema, strategy, sources))
-        }
-        JournalMode::Stream(sink) => {
-            SharedJournalWriter::new(JournalWriter::streaming(schema, strategy, sources, sink))
-        }
-    };
-    recorder.set_disable_backward(options.disable_backward);
     let rt = InstanceRuntime::with_options_retained(
         Arc::clone(schema),
         strategy,
         sources,
         retained,
         options,
-        Some(Box::new(recorder.clone())),
+        recorder,
+        RuntimeScratch::default(),
     )?;
-    let outcome = drive(schema, strategy, rt, Some(&recorder))?;
-    // Streaming: seal the tape (header for empty instances, footer,
-    // flush) and surface any sink error; the journal lives on the
-    // sink, not in the report. Buffered: freeze the frames.
-    recorder
-        .finish(outcome.time_units)
-        .map_err(ExecError::JournalIo)?;
-    let journal = recorder.try_snapshot(outcome.time_units);
-    Ok((outcome, journal))
+    let mut outcome = drive(schema, rt)?;
+    // Seal after the stragglers `drive` delivers, so an in-process
+    // journal carries them. A tape's sink error surfaces here; a
+    // streamed journal lives on its sink, not in the report.
+    let sealed = outcome
+        .runtime
+        .seal(outcome.time_units, SealOutcome::Completed);
+    match sealed.tape_error {
+        Some(e) => Err(ExecError::JournalIo(e)),
+        None => Ok((outcome, sealed.journal)),
+    }
 }
 
 /// Execute one instance to completion in unit time.
@@ -186,22 +156,17 @@ pub fn run_unit_time_with_options(
     sources: &SourceValues,
     options: RuntimeOptions,
 ) -> Result<UnitOutcome, ExecError> {
-    execute(schema, strategy, sources, &[], options, JournalMode::Off).map(|(out, _)| out)
+    execute(schema, strategy, sources, &[], options, None).map(|(out, _)| out)
 }
 
-/// The three-phase loop against the unit-time calendar, optionally
-/// recording scheduling rounds into `recorder` (launches, completions
-/// and propagation events are emitted by the runtime itself).
-fn drive(
-    schema: &Arc<Schema>,
-    strategy: Strategy,
-    mut rt: InstanceRuntime,
-    recorder: Option<&SharedJournalWriter>,
-) -> Result<UnitOutcome, ExecError> {
+/// The three-phase loop against the unit-time calendar. The runtime
+/// journals itself — rounds, launches, completions and propagation —
+/// when it carries a recorder.
+fn drive(schema: &Schema, mut rt: InstanceRuntime) -> Result<UnitOutcome, ExecError> {
     let mut calendar: BinaryHeap<Completion> = BinaryHeap::new();
+    let mut launches: Vec<(AttrId, Vec<Value>)> = Vec::new();
     let mut now = 0u64;
     let mut seq = 0u64;
-    let mut round = 0u32;
 
     loop {
         if rt.is_complete() {
@@ -211,26 +176,8 @@ fn drive(
             break;
         }
         // Scheduling phase: launch what %Permitted allows.
-        let candidates = rt.candidates();
-        let in_flight = rt.in_flight_count();
-        let picks = if let Some(rec) = recorder {
-            // Journal the round (pool + picks) before the launches it
-            // causes, so replay re-derives the same frame order.
-            let picks = scheduler::select(schema, strategy, candidates.clone(), in_flight);
-            if !candidates.is_empty() {
-                rec.record(Event::Round {
-                    round,
-                    candidates,
-                    picked: picks.clone(),
-                });
-                round += 1;
-            }
-            picks
-        } else {
-            scheduler::select(schema, strategy, candidates, in_flight)
-        };
-        for a in picks {
-            let inputs = rt.launch(a);
+        rt.round(&mut launches);
+        for (a, inputs) in launches.drain(..) {
             let value = schema.attr(a).task.compute(&inputs);
             calendar.push(Completion {
                 at: now + schema.cost(a),

@@ -8,12 +8,27 @@
 //! serializable [`Journal`] and re-executes it **byte-for-byte
 //! deterministically**:
 //!
-//! * the runtime emits engine events (condition verdicts, unneeded
-//!   detections, launches, stabilizations) through the [`JournalSink`]
-//!   trait — a no-op by default, so the un-journaled hot path pays one
-//!   `Option` test per event site;
-//! * drivers emit the two nondeterministic inputs: scheduling rounds
-//!   (candidate pool + picks) and task-completion delivery order;
+//! * the runtime owns its recorder, a [`JournalWriter`], by value and
+//!   emits every event into it itself — engine events (condition
+//!   verdicts, unneeded detections, launches, stabilizations) and the
+//!   two nondeterministic inputs the drivers feed it: scheduling rounds
+//!   (candidate pool + picks, from
+//!   [`InstanceRuntime::round`](crate::engine::InstanceRuntime::round))
+//!   and task-completion delivery order. No recorder is the default,
+//!   so the un-journaled hot path pays one `Option` test per event
+//!   site;
+//! * the recorder stamps each event with the instance's one logical
+//!   clock and hands the same [`Frame`] to each of its three outputs
+//!   the request asked for — memory ([`Request::record_journal`]), an
+//!   `io::Write` tape ([`Request::stream_journal`]: JSON-lines plus a
+//!   trailing footer, O(1) frames in memory, read back by
+//!   [`read_journal`] into a [`Journal`] equal to the memory capture
+//!   byte-for-byte) and the durable store's WAL
+//!   ([`Request::durable`]). **Sealing** — when the driver takes the
+//!   instance's result — freezes the memory journal, writes the tape's
+//!   footer and appends the WAL's `InstanceSealed`, and the runtime
+//!   gives the recorder up, so stragglers landing afterwards are
+//!   missing from every output alike;
 //! * [`ReplayEngine`] re-runs the instance from the journal alone
 //!   (plus the schema, since task bodies are code), re-deriving every
 //!   engine event and cross-checking it against the recorded stream —
@@ -22,14 +37,11 @@
 //! * journals serialize to canonical JSON ([`Journal::to_json`]) with
 //!   a schema-version field checked on load, and replay also verifies
 //!   a structural fingerprint of the schema, so a journal can never be
-//!   silently replayed against the wrong flow;
-//! * long-running captures can **stream** instead of buffering:
-//!   [`Request::stream_journal`] flushes frames to an `io::Write`
-//!   sink as they are produced (JSON-lines plus a trailing footer,
-//!   O(1) frames in memory) and [`read_journal`] reconstructs a
-//!   [`Journal`] equal to the buffered capture byte-for-byte.
+//!   silently replayed against the wrong flow.
 //!
+//! [`Request::record_journal`]: crate::api::Request::record_journal
 //! [`Request::stream_journal`]: crate::api::Request::stream_journal
+//! [`Request::durable`]: crate::api::Request::durable
 //!
 //! Capture entry point: a [`Request`] with
 //! [`record_journal(true)`](crate::api::Request::record_journal) —
@@ -52,7 +64,8 @@ pub use divergence::{Divergence, DivergenceKind};
 pub use frame::{Clock, Event, Frame};
 pub use replay::{ReplayEngine, ReplayOutcome};
 pub use stream::{read_journal, MemorySink};
-pub use writer::{bind_sources, JournalWriter, SharedJournalWriter};
+pub(crate) use writer::Sealed;
+pub use writer::{bind_sources, JournalWriter};
 
 use serde::{Deserialize, Serialize};
 
@@ -63,17 +76,6 @@ use crate::value::Value;
 /// [`Frame`]/[`Event`]/[`Journal`] shape; [`Journal::from_json`] and
 /// [`ReplayEngine::new`] refuse mismatched versions.
 pub const SCHEMA_VERSION: u32 = 1;
-
-/// Receiver of engine events during a journaled execution.
-///
-/// The runtime holds an `Option<Box<dyn JournalSink>>` that defaults
-/// to `None`: un-journaled executions skip event construction
-/// entirely. Implementations must tolerate being called under the
-/// instance lock (keep `record` cheap; [`JournalWriter`] just pushes).
-pub trait JournalSink: Send {
-    /// Record one engine event. Clock stamping is the sink's job.
-    fn record(&mut self, event: Event);
-}
 
 /// A complete, serializable flight record of one instance execution.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -219,7 +221,7 @@ mod tests {
     use crate::engine::{Strategy, UnitOutcome};
     use crate::expr::{CmpOp, Expr};
     use crate::journal::frame::Event;
-    use crate::schema::SchemaBuilder;
+    use crate::schema::{AttrId, SchemaBuilder};
     use crate::snapshot::{complete_snapshot, SourceValues};
     use crate::task::Task;
     use crate::value::Value;
@@ -420,6 +422,42 @@ mod tests {
             .replay()
             .unwrap_err();
         assert!(div.clock.is_some(), "frame-level divergence: {div}");
+
+        // A scheduling round edited on the tape is named as such, at
+        // the round's own clock — not reported as a bare frame mismatch.
+        let (_, journal) = recorded(&schema, strat("PCE100"), &sv);
+        let idx = journal
+            .frames
+            .iter()
+            .position(|f| matches!(&f.event, Event::Round { picked, .. } if !picked.is_empty()))
+            .expect("a round that picked something");
+        let tampered = |edit: fn(&mut Vec<AttrId>, &mut Vec<AttrId>)| {
+            let mut journal = journal.clone();
+            if let Event::Round {
+                candidates, picked, ..
+            } = &mut journal.frames[idx].event
+            {
+                edit(candidates, picked);
+            }
+            ReplayEngine::new(Arc::clone(&schema), journal)
+                .unwrap()
+                .replay()
+                .unwrap_err()
+        };
+        let div = tampered(|candidates, _| candidates.push(candidates[0]));
+        assert_eq!(div.clock, Some(idx as Clock));
+        assert!(
+            matches!(div.kind, DivergenceKind::CandidateMismatch { .. }),
+            "{div}"
+        );
+        let div = tampered(|_, picked| {
+            picked.pop();
+        });
+        assert_eq!(div.clock, Some(idx as Clock));
+        assert!(
+            matches!(div.kind, DivergenceKind::PickMismatch { .. }),
+            "{div}"
+        );
     }
 
     #[test]

@@ -17,17 +17,17 @@
 
 use std::sync::Arc;
 
-use crate::engine::runtime::{InstanceRuntime, RuntimeOptions};
-use crate::engine::scheduler;
+use crate::engine::runtime::{InstanceRuntime, RuntimeOptions, RuntimeScratch};
 use crate::engine::strategy::Strategy;
 use crate::journal::divergence::{Divergence, DivergenceKind};
-use crate::journal::frame::{Clock, Event};
-use crate::journal::writer::{JournalWriter, SharedJournalWriter};
+use crate::journal::frame::{Clock, Event, Frame};
+use crate::journal::writer::JournalWriter;
 use crate::journal::{schema_fingerprint, Journal, SCHEMA_VERSION};
 use crate::report::ExecutionRecord;
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::SourceValues;
 use crate::state::AttrState;
+use crate::store::SealOutcome;
 use crate::value::Value;
 
 /// The result of a faithful (divergence-free) replay.
@@ -115,7 +115,7 @@ impl ReplayEngine {
     /// must be a complete flight record: a tape that ends with targets
     /// still unstable (a truncated capture) is a divergence too.
     pub fn replay(&self) -> Result<ReplayOutcome, Divergence> {
-        let (runtime, recorder, verified) = self.drive(u64::MAX)?;
+        let (mut runtime, verified) = self.drive(u64::MAX)?;
         // A faithful full replay must have consumed the entire tape.
         if (verified as usize) < self.journal.frames.len() {
             return Err(Divergence::at(
@@ -139,9 +139,11 @@ impl ReplayEngine {
                 },
             ));
         }
+        let recaptured = runtime.seal(self.journal.time, SealOutcome::Completed);
         Ok(ReplayOutcome {
             record: ExecutionRecord::from_runtime(&runtime, self.journal.time),
-            journal: recorder.snapshot(self.journal.time),
+            // invariant: `drive` attaches a recorder with the memory output on.
+            journal: recaptured.journal.expect("replay records into memory"),
             frames_verified: verified as usize,
             runtime,
         })
@@ -156,26 +158,30 @@ impl ReplayEngine {
     /// engine-quiescent point **at or after** `clock` (frames beyond
     /// `clock` are no longer cross-checked against the tape).
     pub fn step_to(&self, clock: Clock) -> Result<InstanceRuntime, Divergence> {
-        let (runtime, _, _) = self.drive(clock)?;
+        let (runtime, _) = self.drive(clock)?;
         Ok(runtime)
     }
 
     /// Core loop: re-drive the engine from the tape, stopping before
-    /// `stop_clock`. Returns the runtime, the re-captured journal
-    /// writer, and the number of frames verified.
-    fn drive(
-        &self,
-        stop_clock: Clock,
-    ) -> Result<(InstanceRuntime, SharedJournalWriter, Clock), Divergence> {
-        let recorder = SharedJournalWriter::new(JournalWriter::new(
+    /// `stop_clock`. Returns the runtime — still carrying the recorder
+    /// it re-captured into — and the number of frames verified.
+    fn drive(&self, stop_clock: Clock) -> Result<(InstanceRuntime, Clock), Divergence> {
+        /// The frames the live runtime has emitted so far.
+        fn live(rt: &InstanceRuntime) -> &[Frame] {
+            rt.recorder().map_or(&[], JournalWriter::frames)
+        }
+        let recorder = JournalWriter::with_outputs(
             &self.schema,
             self.strategy,
             &self.sources,
-        ));
+            self.journal.disable_backward,
+            true,
+            None,
+            None,
+        );
         let options = RuntimeOptions {
             disable_backward: self.journal.disable_backward,
         };
-        recorder.set_disable_backward(self.journal.disable_backward);
         // A delta capture opens with a strict prefix of `Retained`
         // frames — the values the instance adopted from its prior
         // snapshot at construction. Re-adopting the same slice makes
@@ -197,7 +203,8 @@ impl ReplayEngine {
             &self.sources,
             &retained,
             options,
-            Some(Box::new(recorder.clone())),
+            Some(recorder),
+            RuntimeScratch::default(),
         )
         .map_err(|e| {
             Divergence::header(DivergenceKind::BadSources {
@@ -209,30 +216,30 @@ impl ReplayEngine {
         // Index into `recorded` == number of frames verified == next
         // expected logical clock (clocks are dense from 0).
         let mut cursor: usize = 0;
+        let mut launches = Vec::new();
 
         loop {
             // Sync: every frame the live engine has emitted must match
             // the tape, in order, at the same clock.
-            while cursor < recorder.len() {
+            while let Some(emitted) = live(&rt).get(cursor) {
                 if cursor as Clock >= stop_clock {
-                    return Ok((rt, recorder, cursor as Clock));
+                    return Ok((rt, cursor as Clock));
                 }
-                let live = recorder.frame(cursor).expect("frame below len");
                 match recorded.get(cursor) {
-                    Some(rec) if *rec == live => cursor += 1,
+                    Some(rec) if rec == emitted => cursor += 1,
                     rec => {
                         return Err(Divergence::at(
                             cursor as Clock,
                             DivergenceKind::FrameMismatch {
                                 recorded: rec.cloned().map(Box::new),
-                                replayed: Some(Box::new(live)),
+                                replayed: Some(Box::new(emitted.clone())),
                             },
                         ))
                     }
                 }
             }
             if cursor as Clock >= stop_clock {
-                return Ok((rt, recorder, cursor as Clock));
+                return Ok((rt, cursor as Clock));
             }
             // The live engine is quiescent: the next recorded frame (if
             // any) must be a driver event for us to re-inject.
@@ -242,44 +249,39 @@ impl ReplayEngine {
             };
             match &frame.event {
                 Event::Round {
-                    round,
-                    candidates,
-                    picked,
+                    candidates, picked, ..
                 } => {
-                    let live_candidates = rt.candidates();
-                    if live_candidates != *candidates {
+                    // Run the production round; its own `Round` frame
+                    // (none, over an empty live pool) now sits at
+                    // `cursor`. Name a disagreeing pool or pick set as
+                    // such; the sync above then checks the frame whole
+                    // (round number included) and the launches after it.
+                    rt.round(&mut launches);
+                    launches.clear();
+                    let (live_candidates, live_picks) =
+                        match live(&rt).get(cursor).map(|f| &f.event) {
+                            Some(Event::Round {
+                                candidates, picked, ..
+                            }) => (&candidates[..], &picked[..]),
+                            _ => (&[][..], &[][..]),
+                        };
+                    if live_candidates != candidates.as_slice() {
                         return Err(Divergence::at(
                             frame.clock,
                             DivergenceKind::CandidateMismatch {
                                 recorded: candidates.clone(),
-                                replayed: live_candidates,
+                                replayed: live_candidates.to_vec(),
                             },
                         ));
                     }
-                    let live_picks = scheduler::select(
-                        &self.schema,
-                        self.strategy,
-                        live_candidates.clone(),
-                        rt.in_flight_count(),
-                    );
-                    if live_picks != *picked {
+                    if live_picks != picked.as_slice() {
                         return Err(Divergence::at(
                             frame.clock,
                             DivergenceKind::PickMismatch {
                                 recorded: picked.clone(),
-                                replayed: live_picks,
+                                replayed: live_picks.to_vec(),
                             },
                         ));
-                    }
-                    recorder.record(Event::Round {
-                        round: *round,
-                        candidates: live_candidates,
-                        picked: live_picks.clone(),
-                    });
-                    for a in live_picks {
-                        // Picks came from `select` over the live pool,
-                        // so `launch` cannot assert.
-                        let _inputs = rt.launch(a);
                     }
                 }
                 Event::Complete { attr, value } => {
@@ -319,6 +321,6 @@ impl ReplayEngine {
             }
         }
 
-        Ok((rt, recorder, cursor as Clock))
+        Ok((rt, cursor as Clock))
     }
 }

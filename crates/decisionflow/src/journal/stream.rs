@@ -284,9 +284,10 @@ mod tests {
     use super::*;
     use crate::api::Request;
     use crate::expr::{CmpOp, Expr};
-    use crate::journal::{JournalSink, JournalWriter, SharedJournalWriter};
+    use crate::journal::JournalWriter;
     use crate::schema::{Schema, SchemaBuilder};
     use crate::snapshot::SourceValues;
+    use crate::store::SealOutcome;
     use crate::task::Task;
 
     /// A sink that fails after `ok_writes` successful writes.
@@ -381,21 +382,24 @@ mod tests {
     fn streaming_writer_buffers_no_frames() {
         let (schema, sv) = fixture();
         let buf = MemorySink::new();
-        let mut w = JournalWriter::streaming(
+        let mut w = JournalWriter::with_outputs(
             &schema,
             "PSE100".parse().unwrap(),
             &sv,
-            Box::new(buf.clone()),
+            false,
+            false,
+            Some(Box::new(buf.clone())),
+            None,
         );
         for i in 0..100u64 {
             w.record(crate::journal::Event::Launch {
                 attr: crate::schema::AttrId::from_index(0),
                 cost: i,
             });
-            assert!(w.frames().is_empty(), "streaming mode must not buffer");
+            assert!(w.frames().is_empty(), "the tape output must not buffer");
         }
-        assert_eq!(w.clock(), 100);
-        w.finish(7).unwrap();
+        let sealed = w.seal(7, SealOutcome::Completed);
+        assert!(sealed.journal.is_none() && sealed.tape_error.is_none());
         let journal = read_journal(&buf.bytes()[..]).unwrap();
         assert_eq!(journal.frames.len(), 100);
         assert_eq!(journal.time, 7);
@@ -498,22 +502,33 @@ mod tests {
     fn sink_errors_surface_at_finish_not_on_the_hot_path() {
         let (schema, sv) = fixture();
         // One successful write (the header), then the sink dies; the
-        // recording itself must not panic, and finish reports the
-        // error exactly once.
-        let mut w = JournalWriter::streaming(
+        // recording itself must not panic, the seal reports the error,
+        // and the memory output beside the dead tape is undisturbed.
+        let mut w = JournalWriter::with_outputs(
             &schema,
             "PSE100".parse().unwrap(),
             &sv,
-            Box::new(FlakySink { ok_writes: 1 }),
+            false,
+            true,
+            Some(Box::new(FlakySink { ok_writes: 1 })),
+            None,
         );
         for _ in 0..5 {
             w.record(crate::journal::Event::Unneeded {
                 attr: crate::schema::AttrId::from_index(0),
             });
         }
-        let err = w.finish(0).unwrap_err();
+        let sealed = w.seal(0, SealOutcome::Completed);
+        let err = sealed.tape_error.expect("the latched sink error");
         assert!(err.to_string().contains("sink full"));
-        assert!(w.finish(0).is_ok(), "finish is idempotent after reporting");
+        let clocks: Vec<u64> = sealed
+            .journal
+            .unwrap()
+            .frames
+            .iter()
+            .map(|f| f.clock)
+            .collect();
+        assert_eq!(clocks, [0, 1, 2, 3, 4], "memory output is complete");
 
         // And through the request API the run fails with JournalIo.
         let err = Request::with_schema(Arc::clone(&schema))
@@ -536,31 +551,5 @@ mod tests {
         ));
         rejected.sources(sv).run().expect("sink preserved");
         assert!(read_journal(&buf.bytes()[..]).is_ok());
-    }
-
-    #[test]
-    fn shared_writer_streaming_accessors() {
-        let (schema, sv) = fixture();
-        let buf = MemorySink::new();
-        let shared = SharedJournalWriter::new(JournalWriter::streaming(
-            &schema,
-            "PCE0".parse().unwrap(),
-            &sv,
-            Box::new(buf.clone()),
-        ));
-        assert!(shared.is_streaming());
-        assert!(shared.try_snapshot(0).is_none(), "no frames to snapshot");
-        shared.record(crate::journal::Event::Unneeded {
-            attr: crate::schema::AttrId::from_index(0),
-        });
-        assert_eq!(shared.len(), 0, "nothing buffered");
-        shared.finish(0).unwrap();
-        // Frames recorded after the seal are dropped, mirroring the
-        // buffered snapshot-at-completion semantics.
-        shared.record(crate::journal::Event::Unneeded {
-            attr: crate::schema::AttrId::from_index(0),
-        });
-        let journal = read_journal(&buf.bytes()[..]).unwrap();
-        assert_eq!(journal.frames.len(), 1);
     }
 }

@@ -1,56 +1,39 @@
-//! Journal capture: sinks that turn emitted events into frames.
+//! Journal capture: the one flight recorder.
 //!
-//! [`JournalWriter`] is the single-threaded recorder; the cloneable
-//! [`SharedJournalWriter`] wraps it in a mutex for the multi-threaded
-//! server path (events there are already serialized by the instance
-//! lock, so contention is nil). Both stamp events with the journal's
-//! monotonic logical clock in arrival order.
+//! A [`JournalWriter`] is owned by value by the
+//! [`InstanceRuntime`](crate::engine::InstanceRuntime) it records, so
+//! every event reaches it under whatever already serialises the
+//! runtime (a `&mut` borrow in-process, the instance lock on the
+//! server) and crosses no lock of its own. It stamps each event with
+//! the instance's one logical clock, once, and hands the same
+//! [`Frame`] to each output the request asked for:
 //!
-//! A writer runs in one of two modes:
+//! * **memory** — frames accumulate and [`seal`](JournalWriter::seal)
+//!   freezes them into a [`Journal`];
+//! * **tape** — each frame is serialized to an [`io::Write`] sink the
+//!   moment it is recorded (the wire format of
+//!   [`crate::journal::stream`]), so the capture holds O(1) frames
+//!   however long the instance runs, and seal writes the footer;
+//!   [`read_journal`](crate::journal::read_journal) reconstructs a
+//!   `Journal` equal to what the memory output would have held;
+//! * **WAL** — each frame is appended to the instance's
+//!   [`EventStore`](crate::store::EventStore) lane, and seal appends
+//!   its `InstanceSealed` record.
 //!
-//! * **buffered** ([`JournalWriter::new`]) — frames accumulate in
-//!   memory and [`snapshot`](JournalWriter::snapshot) freezes them
-//!   into a [`Journal`];
-//! * **streaming** ([`JournalWriter::streaming`]) — each frame is
-//!   serialized and flushed to an [`io::Write`] sink the moment it is
-//!   recorded (the wire format of [`crate::journal::stream`]), so the
-//!   writer holds O(1) frames regardless of instance length;
-//!   [`finish`](JournalWriter::finish) seals the stream with its
-//!   footer. [`stream::read_journal`](crate::journal::read_journal)
-//!   reconstructs a `Journal` equal to what the buffered mode would
-//!   have captured.
+//! Sealing consumes the writer: the runtime gives its recorder up when
+//! the instance's result is delivered, so late speculative stragglers
+//! emit into nothing — on every output alike, which is what keeps a
+//! journal rebuilt from the WAL byte-equal to the one captured live.
 
 use std::io;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::engine::strategy::Strategy;
 use crate::journal::frame::{Clock, Event, Frame};
-use crate::journal::{schema_fingerprint, stream, Journal, JournalSink, SCHEMA_VERSION};
+use crate::journal::{schema_fingerprint, stream, Journal, SCHEMA_VERSION};
 use crate::schema::Schema;
 use crate::snapshot::SourceValues;
+use crate::store::{SealOutcome, WalRecorder};
 use crate::value::Value;
-
-/// Streaming-mode state: the sink plus the bookkeeping that makes the
-/// wire format self-checking (lazy header, one footer, first IO error
-/// latched and surfaced at [`JournalWriter::finish`]).
-struct Streaming {
-    sink: Box<dyn io::Write + Send>,
-    header_written: bool,
-    finished: bool,
-    error: Option<io::Error>,
-}
-
-impl std::fmt::Debug for Streaming {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Streaming")
-            .field("header_written", &self.header_written)
-            .field("finished", &self.finished)
-            .field("error", &self.error)
-            .finish_non_exhaustive()
-    }
-}
 
 /// The journal header's source bindings for one instance of `schema`:
 /// the bound values in **schema source order**, named. This is the
@@ -68,278 +51,265 @@ pub fn bind_sources(schema: &Schema, sources: &SourceValues) -> Vec<(String, Val
     bound
 }
 
-/// Accumulates frames for one instance execution.
-#[derive(Debug)]
+/// The tape output: the sink plus the first IO error it reported. IO
+/// errors never reach the engine hot path — the first one is latched,
+/// later lines are skipped, and it surfaces from
+/// [`JournalWriter::seal`].
+struct Tape {
+    sink: Box<dyn io::Write + Send>,
+    error: Option<io::Error>,
+}
+
+impl Tape {
+    fn put(&mut self, line: impl FnOnce(&mut dyn io::Write) -> io::Result<()>) {
+        if self.error.is_none() {
+            self.error = line(&mut self.sink).err();
+        }
+    }
+}
+
+/// What sealing a recording hands back.
+#[derive(Default)]
+pub(crate) struct Sealed {
+    /// The frozen journal, when the memory output was on.
+    pub journal: Option<Journal>,
+    /// The first IO error the tape's sink reported at any point of the
+    /// capture. The tape then has no footer, so readers reject it as
+    /// truncated; the other outputs are complete regardless.
+    pub tape_error: Option<io::Error>,
+}
+
+/// The flight recorder of one instance execution.
 pub struct JournalWriter {
-    strategy: String,
-    disable_backward: bool,
-    fingerprint: u64,
-    sources: Vec<(String, Value)>,
-    frames: Vec<Frame>,
+    /// The header fields, plus the frames while the memory output is on.
+    journal: Journal,
+    /// Next clock value (= number of frames recorded).
     clock: Clock,
-    streaming: Option<Streaming>,
+    memory: bool,
+    tape: Option<Tape>,
+    wal: Option<WalRecorder>,
 }
 
 impl JournalWriter {
-    /// Start a buffered journal for one instance of `schema` under
+    /// Start an in-memory journal for one instance of `schema` under
     /// `strategy`.
     ///
     /// `sources` must be the exact bindings the instance runs with;
     /// they are embedded in the journal so replay needs nothing else.
     pub fn new(schema: &Schema, strategy: Strategy, sources: &SourceValues) -> JournalWriter {
-        let bound = bind_sources(schema, sources);
-        JournalWriter {
-            strategy: strategy.to_string(),
-            disable_backward: false,
-            fingerprint: schema_fingerprint(schema),
-            sources: bound,
-            frames: Vec::new(),
-            clock: 0,
-            streaming: None,
-        }
+        JournalWriter::with_outputs(schema, strategy, sources, false, true, None, None)
     }
 
-    /// Start a **streaming** journal: frames are serialized to `sink`
-    /// as they are recorded (JSON-lines wire format) instead of
-    /// buffering in memory. The header line is written lazily with the
-    /// first frame (so [`set_disable_backward`] can still run first)
-    /// and [`finish`] seals the stream with its footer.
-    ///
-    /// IO errors never panic the engine hot path: the first error is
-    /// latched, subsequent frames are dropped, and the error surfaces
-    /// from [`finish`].
-    ///
-    /// [`set_disable_backward`]: JournalWriter::set_disable_backward
-    /// [`finish`]: JournalWriter::finish
-    pub fn streaming(
+    /// Start a journal with an explicit set of outputs: `memory`
+    /// buffers the frames, `tape` streams them to a sink (the header
+    /// line goes out here), `wal` appends them to a store lane (whose
+    /// acceptance record the caller has already appended).
+    /// `disable_backward` is the ablation option the instance runs
+    /// with; it is part of the header.
+    pub(crate) fn with_outputs(
         schema: &Schema,
         strategy: Strategy,
         sources: &SourceValues,
-        sink: Box<dyn io::Write + Send>,
+        disable_backward: bool,
+        memory: bool,
+        tape: Option<Box<dyn io::Write + Send>>,
+        wal: Option<WalRecorder>,
     ) -> JournalWriter {
-        let mut w = JournalWriter::new(schema, strategy, sources);
-        w.streaming = Some(Streaming {
-            sink,
-            header_written: false,
-            finished: false,
-            error: None,
-        });
-        w
-    }
-
-    /// Record that backward propagation was disabled (ablation runs).
-    /// Must precede the first frame: the option is part of the stream
-    /// header.
-    pub fn set_disable_backward(&mut self, disabled: bool) {
-        debug_assert_eq!(self.clock, 0, "options are fixed once recording starts");
-        self.disable_backward = disabled;
-    }
-
-    /// True when this writer streams frames to a sink instead of
-    /// buffering them.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming.is_some()
-    }
-
-    /// Frames recorded so far (always empty in streaming mode — the
-    /// frames are already on the sink).
-    pub fn frames(&self) -> &[Frame] {
-        &self.frames
-    }
-
-    /// Next clock value (= number of frames recorded).
-    pub fn clock(&self) -> Clock {
-        self.clock
-    }
-
-    fn ensure_header(s: &mut Streaming, ctx: (&str, bool, u64, &[(String, Value)])) {
-        if s.header_written || s.error.is_some() {
-            return;
-        }
-        let (strategy, disable_backward, fingerprint, sources) = ctx;
-        if let Err(e) = stream::write_header(
-            &mut s.sink,
-            strategy,
-            disable_backward,
-            fingerprint,
-            sources,
-        ) {
-            s.error = Some(e);
-            return;
-        }
-        s.header_written = true;
-    }
-
-    /// Seal a streaming journal: write the header (if no frame forced
-    /// it yet), the footer carrying the frame count and `time`, and
-    /// flush the sink. Surfaces the first IO error encountered at any
-    /// point during the capture. Idempotent; a no-op `Ok(())` on a
-    /// buffered writer.
-    pub fn finish(&mut self, time: u64) -> io::Result<()> {
-        let Some(s) = &mut self.streaming else {
-            return Ok(());
-        };
-        if s.finished {
-            return Ok(());
-        }
-        s.finished = true;
-        if let Some(e) = s.error.take() {
-            return Err(e);
-        }
-        Self::ensure_header(
-            s,
-            (
-                &self.strategy,
-                self.disable_backward,
-                self.fingerprint,
-                &self.sources,
-            ),
-        );
-        if let Some(e) = s.error.take() {
-            return Err(e);
-        }
-        stream::write_footer(&mut s.sink, self.clock, time)?;
-        s.sink.flush()
-    }
-
-    /// Freeze the frames recorded so far into a [`Journal`], stamping
-    /// the driver-reported response time (`time` is in the driver's
-    /// unit — processing units for the unit-time executor, 0 for the
-    /// server). Non-consuming, because recording may legitimately
-    /// continue past the snapshot point: on the server, speculative
-    /// stragglers can land after the result is sent.
-    ///
-    /// Buffered mode only — a streaming writer no longer holds its
-    /// frames; use [`try_snapshot`](JournalWriter::try_snapshot) when
-    /// the mode is not statically known.
-    pub fn snapshot(&self, time: u64) -> Journal {
-        debug_assert!(
-            !self.is_streaming(),
-            "snapshot of a streaming writer (frames are on the sink)"
-        );
-        Journal {
+        let journal = Journal {
             version: SCHEMA_VERSION,
-            strategy: self.strategy.clone(),
-            disable_backward: self.disable_backward,
-            schema_fingerprint: self.fingerprint,
-            sources: self.sources.clone(),
-            time,
-            frames: self.frames.clone(),
+            strategy: strategy.to_string(),
+            disable_backward,
+            schema_fingerprint: schema_fingerprint(schema),
+            sources: bind_sources(schema, sources),
+            time: 0,
+            frames: Vec::new(),
+        };
+        let tape = tape.map(|sink| {
+            let mut tape = Tape { sink, error: None };
+            tape.put(|w| {
+                stream::write_header(
+                    w,
+                    &journal.strategy,
+                    journal.disable_backward,
+                    journal.schema_fingerprint,
+                    &journal.sources,
+                )
+            });
+            tape
+        });
+        JournalWriter {
+            journal,
+            clock: 0,
+            memory,
+            tape,
+            wal,
         }
     }
 
-    /// [`snapshot`](JournalWriter::snapshot) that yields `None` in
-    /// streaming mode instead of asserting.
-    pub fn try_snapshot(&self, time: u64) -> Option<Journal> {
-        if self.is_streaming() {
-            None
-        } else {
-            Some(self.snapshot(time))
-        }
+    /// Frames held by the memory output so far (always empty without
+    /// it — the frames are on the tape or in the WAL).
+    pub fn frames(&self) -> &[Frame] {
+        &self.journal.frames
     }
-}
 
-impl JournalSink for JournalWriter {
-    fn record(&mut self, event: Event) {
-        match &mut self.streaming {
-            None => {
-                let clock = self.clock;
-                self.clock += 1;
-                self.frames.push(Frame { clock, event });
+    /// The WAL output, if any: the server's abandonment path seals an
+    /// instance that never delivered through it.
+    pub(crate) fn wal(&self) -> Option<&WalRecorder> {
+        self.wal.as_ref()
+    }
+
+    /// Record one event: stamp it with the next clock value and hand
+    /// the frame to every output.
+    pub fn record(&mut self, event: Event) {
+        let frame = Frame {
+            clock: self.clock,
+            event,
+        };
+        self.clock += 1;
+        if let Some(tape) = &mut self.tape {
+            tape.put(|w| stream::write_frame(w, &frame));
+        }
+        match (&self.wal, self.memory) {
+            (Some(wal), true) => {
+                wal.frame(frame.clone());
+                self.journal.frames.push(frame);
             }
-            Some(s) => {
-                // Frames after the footer (server-side speculative
-                // stragglers landing past completion) are dropped —
-                // exactly what a buffered snapshot-at-completion
-                // excludes too.
-                if s.finished {
-                    return;
-                }
-                Self::ensure_header(
-                    s,
-                    (
-                        &self.strategy,
-                        self.disable_backward,
-                        self.fingerprint,
-                        &self.sources,
-                    ),
-                );
-                let clock = self.clock;
-                self.clock += 1;
-                let frame = Frame { clock, event };
-                if s.error.is_none() {
-                    if let Err(e) = stream::write_frame(&mut s.sink, &frame) {
-                        s.error = Some(e);
-                    }
-                }
-            }
+            (Some(wal), false) => wal.frame(frame),
+            (None, true) => self.journal.frames.push(frame),
+            (None, false) => {}
+        }
+    }
+
+    /// Seal the recording: freeze the memory output into a [`Journal`]
+    /// stamped with the driver-reported response time (`time` is in
+    /// the driver's unit — processing units for the unit-time
+    /// executor, 0 for the server), write the tape's footer and flush
+    /// its sink, and append the WAL's `InstanceSealed { outcome }`.
+    pub(crate) fn seal(mut self, time: u64, outcome: SealOutcome) -> Sealed {
+        let tape_error = self.tape.and_then(|mut tape| {
+            tape.put(|w| stream::write_footer(w, self.clock, time));
+            tape.put(|w| w.flush());
+            tape.error
+        });
+        if let Some(wal) = &self.wal {
+            wal.seal(outcome);
+        }
+        self.journal.time = time;
+        Sealed {
+            journal: self.memory.then_some(self.journal),
+            tape_error,
         }
     }
 }
 
-/// Cloneable, thread-safe handle over a [`JournalWriter`].
-///
-/// The engine side holds one clone as its `JournalSink`; the driver
-/// side keeps another to extract the journal when the instance
-/// finishes.
-#[derive(Clone, Debug)]
-pub struct SharedJournalWriter(Arc<Mutex<JournalWriter>>);
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
 
-impl SharedJournalWriter {
-    /// Wrap a writer for shared use.
-    pub fn new(writer: JournalWriter) -> SharedJournalWriter {
-        SharedJournalWriter(Arc::new(Mutex::new(writer)))
-    }
+    use super::*;
+    use crate::engine::{InstanceRuntime, RuntimeOptions, RuntimeScratch};
+    use crate::expr::Expr;
+    use crate::journal::{read_journal, MemorySink};
+    use crate::schema::SchemaBuilder;
+    use crate::store::{EventStore, PersistedRequest, StoreEvent};
+    use crate::task::Task;
 
-    /// Number of frames buffered so far (0 in streaming mode).
-    pub fn len(&self) -> usize {
-        self.0.lock().frames.len()
-    }
+    /// One recorder, all three outputs, driven through the runtime
+    /// that owns it: what is recorded before the seal is on every
+    /// output with the same clocks, what happens after it on none.
+    #[test]
+    fn recorder_outputs_agree_and_seal_once() {
+        // Naive mode never prunes, so `extra` (and `tail` behind it)
+        // run although only `t` is a target: stragglers by design.
+        let mut b = SchemaBuilder::new();
+        let s = b.source("s");
+        let t = b.attr("t", Task::const_query(1, "page"), vec![s], Expr::Lit(true));
+        let extra = b.attr(
+            "extra",
+            Task::const_query(5, 1i64),
+            vec![s],
+            Expr::Lit(true),
+        );
+        b.attr(
+            "tail",
+            Task::const_query(1, 2i64),
+            vec![extra],
+            Expr::Lit(true),
+        );
+        b.mark_target(t);
+        let schema = Arc::new(b.build().unwrap());
+        let mut sv = SourceValues::new();
+        sv.set(s, 7i64);
+        let strategy: Strategy = "NCE100".parse().unwrap();
 
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+        let dir = std::env::temp_dir().join(format!("dflow-recorder-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(EventStore::open(&dir).unwrap());
+        let accepted = PersistedRequest {
+            instance_id: 3,
+            schema: "flow".into(),
+            strategy: strategy.to_string(),
+            disable_backward: false,
+            schema_fingerprint: schema_fingerprint(&schema),
+            sources: bind_sources(&schema, &sv),
+            label: None,
+            deadline_ms: None,
+        };
+        store
+            .append(0, StoreEvent::RequestAccepted { request: accepted })
+            .unwrap();
+        let tape = MemorySink::new();
+        let recorder = JournalWriter::with_outputs(
+            &schema,
+            strategy,
+            &sv,
+            false,
+            true,
+            Some(Box::new(tape.clone())),
+            Some(WalRecorder::new(Arc::clone(&store), 0, 3, 0)),
+        );
+        let mut rt = InstanceRuntime::with_options_retained(
+            Arc::clone(&schema),
+            strategy,
+            &sv,
+            &[],
+            RuntimeOptions::default(),
+            Some(recorder),
+            RuntimeScratch::default(),
+        )
+        .unwrap();
 
-    /// True when the wrapped writer streams to a sink.
-    pub fn is_streaming(&self) -> bool {
-        self.0.lock().is_streaming()
-    }
+        let mut launches = Vec::new();
+        rt.round(&mut launches);
+        let target = launches.iter().position(|(a, _)| *a == t).unwrap();
+        let (a, inputs) = launches.swap_remove(target);
+        rt.complete(a, schema.attr(a).task.compute(&inputs));
+        assert!(rt.is_complete() && !rt.is_sealed());
+        let sealed = rt.seal(0, SealOutcome::Completed);
+        assert!(rt.is_sealed() && !rt.recording());
+        assert!(sealed.tape_error.is_none());
+        let memory = sealed.journal.expect("the memory output");
+        for (i, f) in memory.frames.iter().enumerate() {
+            assert_eq!(f.clock, i as Clock, "clocks dense from 0");
+        }
 
-    /// Clone of the frame at `index`, if buffered.
-    pub fn frame(&self, index: usize) -> Option<Frame> {
-        self.0.lock().frames.get(index).cloned()
-    }
+        // Stragglers: a late completion, then a whole further round.
+        for (a, inputs) in launches.drain(..) {
+            rt.complete(a, schema.attr(a).task.compute(&inputs));
+        }
+        rt.round(&mut launches);
+        assert!(!launches.is_empty(), "`tail` launched after the seal");
+        // The second seal finds nothing left to seal.
+        let again = rt.seal(9, SealOutcome::Abandoned);
+        assert!(again.journal.is_none() && again.tape_error.is_none());
 
-    /// Record a driver event directly (scheduling rounds).
-    pub fn record(&self, event: Event) {
-        self.0.lock().record(event);
-    }
-
-    /// See [`JournalWriter::set_disable_backward`].
-    pub fn set_disable_backward(&self, disabled: bool) {
-        self.0.lock().set_disable_backward(disabled);
-    }
-
-    /// Snapshot the journal at this instant (frames cloned; buffered
-    /// mode only).
-    pub fn snapshot(&self, time: u64) -> Journal {
-        self.0.lock().snapshot(time)
-    }
-
-    /// See [`JournalWriter::try_snapshot`].
-    pub fn try_snapshot(&self, time: u64) -> Option<Journal> {
-        self.0.lock().try_snapshot(time)
-    }
-
-    /// See [`JournalWriter::finish`].
-    pub fn finish(&self, time: u64) -> io::Result<()> {
-        self.0.lock().finish(time)
-    }
-}
-
-impl JournalSink for SharedJournalWriter {
-    fn record(&mut self, event: Event) {
-        self.0.lock().record(event);
+        assert_eq!(read_journal(&tape.bytes()[..]).unwrap(), memory);
+        assert_eq!(store.fetch_journal(3).unwrap(), memory);
+        let report = store.fsck().unwrap();
+        assert!(report.ok(), "{}", report.to_text());
+        assert_eq!(report.sealed, 1, "one InstanceSealed on the lane");
+        drop(rt);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -128,7 +128,7 @@ pub mod prelude {
     };
     pub use crate::expr::{CmpOp, Expr, Term, Tri};
     pub use crate::journal::{
-        read_journal, Divergence, DivergenceKind, Journal, JournalError, JournalSink, ReplayEngine,
+        read_journal, Divergence, DivergenceKind, Journal, JournalError, ReplayEngine,
         ReplayOutcome,
     };
     pub use crate::rules::{CombiningPolicy, Rule, RuleAction, RuleSet};

@@ -90,10 +90,9 @@
 //! [`submit_many`]: EngineServer::submit_many
 //! [`subscribe`]: EngineServer::subscribe
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,15 +100,11 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use crate::api::{
-    DeltaSource, EventHub, InstanceEvent, LiveInstance, Request, ServerEvents, Ticket, TicketBatch,
+    recorder_for, DeltaSource, EventHub, InstanceEvent, LiveInstance, Request, ServerEvents,
+    Ticket, TicketBatch,
 };
-use crate::engine::{
-    scheduler, InstanceRuntime, RuntimeOptions, RuntimeScratch, ServerStats, Strategy,
-};
-use crate::journal::{
-    bind_sources, schema_fingerprint, Event, Journal, JournalSink, JournalWriter,
-    SharedJournalWriter,
-};
+use crate::engine::{InstanceRuntime, RuntimeOptions, RuntimeScratch, ServerStats, Strategy};
+use crate::journal::{bind_sources, schema_fingerprint, Journal, JournalWriter};
 use crate::report::ExecutionRecord;
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{SnapshotError, SourceValues};
@@ -300,6 +295,14 @@ struct Instance {
     id: u64,
     /// The owning shard's shared state.
     ctx: Arc<ShardCtx>,
+    /// The flow the instance runs — immutable for its life, so task
+    /// bodies read it here without taking the runtime lock.
+    schema: Arc<Schema>,
+    /// The runtime, with the instance's flight recorder inside it:
+    /// this lock is the only one an event crosses, and it is what
+    /// orders the frames of every output. Sealed by the first pump to
+    /// observe completion, which is also what makes the result go out
+    /// exactly once.
     runtime: Mutex<InstanceRuntime>,
     /// The submission-path stages, measured by the admission pipeline
     /// on the caller's thread; `validate` additionally includes the
@@ -316,31 +319,12 @@ struct Instance {
     /// `exec_start → completion` is the `execute` stage.
     exec_start: Instant,
     done_tx: Sender<InstanceResult>,
-    /// `Some` iff the request asked for journal capture; the snapshot
-    /// taken at completion becomes [`InstanceResult::journal`].
-    recorder: Option<SharedJournalWriter>,
-    /// `Some` iff the request was durable: the write-ahead recorder
-    /// that persists every decision frame and, at completion, the
-    /// instance's seal.
-    wal: Option<Arc<WalRecorder>>,
     /// The request's label, forwarded into results and events.
     label: Option<String>,
     /// Absolute completion deadline derived from [`Request::deadline`]
     /// at submission; completions after it set
     /// [`InstanceResult::deadline_exceeded`].
     deadline: Option<Instant>,
-    /// Set once the first completed pump has sent the result, so later
-    /// pumps (racing workers, speculative stragglers) don't resend.
-    finished: Mutex<bool>,
-    /// Scheduling-round counter for journaled instances (only ever
-    /// touched under the runtime lock; atomic for `&self` access).
-    rounds: AtomicU32,
-}
-
-thread_local! {
-    /// Per-worker candidate buffer, reused across scheduling rounds so
-    /// the prequalify → schedule hop allocates nothing.
-    static ROUND_BUF: RefCell<Vec<AttrId>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Saturating nanosecond count of a [`Duration`].
@@ -356,130 +340,75 @@ impl Instance {
         let mut finished: Option<InstanceResult> = None;
         {
             let mut rt = inst.runtime.lock();
-            if rt.is_complete() {
+            if !rt.is_complete() {
+                rt.round(&mut launches);
+            } else if !rt.is_sealed() {
                 // Racing pumps may observe completion concurrently;
-                // only the first sends (and snapshots the journal, so
-                // journal and record match frame-for-frame).
-                let mut sent = inst.finished.lock();
-                if !*sent {
-                    *sent = true;
-                    // Commit the stabilized state as a versioned
-                    // snapshot for future delta resubmissions —
-                    // labeled requests only, since (schema
-                    // fingerprint, label) is the snapshot key. Runs
-                    // under the same runtime-lock hold that freezes
-                    // the journal, so the snapshot matches the
-                    // delivered record exactly.
-                    if let Some(label) = &inst.label {
-                        inst.ctx
-                            .state_store
-                            .commit(InstanceSnapshot::capture(&rt, label.clone()));
-                    }
-                    let retained = rt.retained_count();
-                    if retained > 0 {
-                        inst.ctx
-                            .state_store
-                            .note_delta(u64::from(retained), u64::from(rt.metrics().launched));
-                    }
-                    // Journals are wall-clock free: time stays 0,
-                    // matching the record built below. A streaming
-                    // recorder has no frames to snapshot — seal the
-                    // tape on its sink instead; a sink error leaves
-                    // the stream footerless (readers reject it as
-                    // truncated) and is surfaced on the result.
-                    let (journal, journal_error) = match &inst.recorder {
-                        None => (None, None),
-                        Some(r) => match r.try_snapshot(0) {
-                            Some(j) => (Some(j), None),
-                            None => (None, r.finish(0).err().map(|e| e.to_string())),
-                        },
-                    };
-                    // Stage boundaries: the submission path measured
-                    // route/validate (the worker folded its build time
-                    // into validate), the build job stamped the
-                    // queue-wait and execute starts; completion is now.
-                    let now = Instant::now();
-                    let timings = StageTimings {
-                        route_ns: dur_ns(inst.submit.route),
-                        validate_ns: dur_ns(inst.submit.validate),
-                        queue_wait_ns: dur_ns(
-                            inst.dequeued_at.saturating_duration_since(inst.enqueued_at),
-                        ),
-                        execute_ns: dur_ns(now.saturating_duration_since(inst.exec_start)),
-                        e2e_ns: dur_ns(now.saturating_duration_since(inst.submit.t0)),
-                    };
-                    let deadline_exceeded = inst.deadline.is_some_and(|d| now > d);
-                    // Seal the durable tape inside this critical
-                    // section — under the same runtime-lock hold that
-                    // froze the live journal — so speculative
-                    // stragglers landing afterwards are excluded from
-                    // both tapes identically and the reconstructed
-                    // journal stays byte-equal to the captured one.
-                    if let Some(wal) = &inst.wal {
-                        wal.seal(if deadline_exceeded {
-                            SealOutcome::DeadlineExceeded
-                        } else {
-                            SealOutcome::Completed
-                        });
-                    }
-                    finished = Some(InstanceResult {
-                        record: ExecutionRecord::from_runtime(&rt, 0),
-                        elapsed: now.saturating_duration_since(inst.submit.t0),
-                        shard: inst.ctx.index,
-                        instance_id: inst.id,
-                        label: inst.label.clone(),
-                        journal,
-                        journal_error,
-                        deadline_exceeded,
-                        stage_timings: Some(timings),
-                    });
+                // only the first seals and sends (freezing the journal
+                // in the same lock hold, so journal and record match
+                // frame-for-frame).
+                //
+                // Commit the stabilized state as a versioned snapshot
+                // for future delta resubmissions — labeled requests
+                // only, since (schema fingerprint, label) is the
+                // snapshot key. Runs under the same runtime-lock hold
+                // that freezes the journal, so the snapshot matches the
+                // delivered record exactly.
+                if let Some(label) = &inst.label {
+                    inst.ctx
+                        .state_store
+                        .commit(InstanceSnapshot::capture(&rt, label.clone()));
                 }
-            } else {
-                let schema = Arc::clone(rt.schema());
-                let in_flight = rt.in_flight_count();
-                let recording = inst.recorder.is_some() || inst.wal.is_some();
-                if recording {
-                    let cands = rt.candidates();
-                    if !cands.is_empty() {
-                        let picks =
-                            scheduler::select(&schema, rt.strategy(), cands.clone(), in_flight);
-                        let round = inst.rounds.fetch_add(1, Ordering::Relaxed);
-                        let event = Event::Round {
-                            round,
-                            candidates: cands,
-                            picked: picks.clone(),
-                        };
-                        // Both recorders see the identical event under
-                        // the same runtime-lock hold, so their logical
-                        // clocks advance in lockstep and a journal
-                        // reconstructed from the WAL matches the live
-                        // capture.
-                        if let Some(recorder) = &inst.recorder {
-                            recorder.record(event.clone());
-                        }
-                        if let Some(wal) = &inst.wal {
-                            wal.record(event);
-                        }
-                        for a in picks {
-                            let inputs = rt.launch(a);
-                            launches.push((a, inputs));
-                        }
-                    }
-                } else {
-                    // Unrecorded rounds (the hot path) run through the
-                    // worker's thread-local candidate buffer: the whole
-                    // prequalify → schedule → launch hop is
-                    // allocation-free apart from the input values.
-                    ROUND_BUF.with(|buf| {
-                        let mut cands = buf.borrow_mut();
-                        rt.candidates_into(&mut cands);
-                        scheduler::select_into(&schema, rt.strategy(), &mut cands, in_flight);
-                        for &a in cands.iter() {
-                            let inputs = rt.launch(a);
-                            launches.push((a, inputs));
-                        }
-                    });
+                let retained = rt.retained_count();
+                if retained > 0 {
+                    inst.ctx
+                        .state_store
+                        .note_delta(u64::from(retained), u64::from(rt.metrics().launched));
                 }
+                // Stage boundaries: the submission path measured
+                // route/validate (the worker folded its build time
+                // into validate), the build job stamped the
+                // queue-wait and execute starts; completion is now.
+                let now = Instant::now();
+                let timings = StageTimings {
+                    route_ns: dur_ns(inst.submit.route),
+                    validate_ns: dur_ns(inst.submit.validate),
+                    queue_wait_ns: dur_ns(
+                        inst.dequeued_at.saturating_duration_since(inst.enqueued_at),
+                    ),
+                    execute_ns: dur_ns(now.saturating_duration_since(inst.exec_start)),
+                    e2e_ns: dur_ns(now.saturating_duration_since(inst.submit.t0)),
+                };
+                let deadline_exceeded = inst.deadline.is_some_and(|d| now > d);
+                // Seal every output of the recording inside this
+                // critical section, so speculative stragglers landing
+                // afterwards are excluded from the delivered journal,
+                // the tape and the WAL identically and a journal
+                // reconstructed from the WAL stays byte-equal to the
+                // captured one. Journals are wall-clock free: time
+                // stays 0, matching the record built below. A tape's
+                // sink error leaves the stream footerless (readers
+                // reject it as truncated) and is surfaced on the
+                // result.
+                let sealed = rt.seal(
+                    0,
+                    if deadline_exceeded {
+                        SealOutcome::DeadlineExceeded
+                    } else {
+                        SealOutcome::Completed
+                    },
+                );
+                finished = Some(InstanceResult {
+                    record: ExecutionRecord::from_runtime(&rt, 0),
+                    elapsed: now.saturating_duration_since(inst.submit.t0),
+                    shard: inst.ctx.index,
+                    instance_id: inst.id,
+                    label: inst.label.clone(),
+                    journal: sealed.journal,
+                    journal_error: sealed.tape_error.map(|e| e.to_string()),
+                    deadline_exceeded,
+                    stage_timings: Some(timings),
+                });
             }
         }
         let ctx = &inst.ctx;
@@ -522,23 +451,19 @@ impl Instance {
                 // journal frames, completion delivery — is unchanged,
                 // which is what keeps recorded tapes byte-identical
                 // whether or not the cache hits.
-                let value = {
-                    let rt = inst2.runtime.lock();
-                    let schema = Arc::clone(rt.schema());
-                    drop(rt);
-                    match &inst2.ctx.memo {
-                        Some(memo) => {
-                            // The memo table is keyed under the schema's
-                            // fingerprint (cached on the schema).
-                            let fp = schema_fingerprint(&schema);
-                            memo.lookup(fp, attr, &inputs).unwrap_or_else(|| {
-                                let v = schema.attr(attr).task.compute(&inputs);
-                                memo.insert(fp, attr, inputs, v.clone());
-                                v
-                            })
-                        }
-                        None => schema.attr(attr).task.compute(&inputs),
+                let schema = &inst2.schema;
+                let value = match &inst2.ctx.memo {
+                    Some(memo) => {
+                        // The memo table is keyed under the schema's
+                        // fingerprint (cached on the schema).
+                        let fp = schema_fingerprint(schema);
+                        memo.lookup(fp, attr, &inputs).unwrap_or_else(|| {
+                            let v = schema.attr(attr).task.compute(&inputs);
+                            memo.insert(fp, attr, inputs, v.clone());
+                            v
+                        })
                     }
+                    None => schema.attr(attr).task.compute(&inputs),
                 };
                 {
                     let mut rt = inst2.runtime.lock();
@@ -561,14 +486,16 @@ impl Drop for Instance {
     fn drop(&mut self) {
         // The instance died without delivering — a task body panicked
         // and the caught unwind released its references.
-        if !*self.finished.get_mut() {
-            self.ctx.abandon(self.id, self.wal.as_deref());
+        let rt = self.runtime.get_mut();
+        if !rt.is_sealed() {
+            let wal = rt.recorder().and_then(JournalWriter::wal);
+            self.ctx.abandon(self.id, wal);
         }
         // This was the last reference: no job (not even a speculative
         // straggler) can touch the runtime anymore, so its buffers can
         // be recycled into the shard's construction arena. The final
         // ExecutionRecord was snapshotted at completion, before this.
-        self.ctx.scratch.put(self.runtime.get_mut().reclaim());
+        self.ctx.scratch.put(rt.reclaim());
     }
 }
 
@@ -695,9 +622,9 @@ struct PendingStart {
     schema: Arc<Schema>,
     /// The request's strategy with the server default already applied.
     strategy: Strategy,
-    /// Write-ahead recorder for durable requests; the acceptance
+    /// Write-ahead output for durable requests; the acceptance
     /// record is on the lane before the build job is enqueued.
-    wal: Option<Arc<WalRecorder>>,
+    wal: Option<WalRecorder>,
     done_tx: Sender<InstanceResult>,
     deadline: Option<Instant>,
     timings: SubmitTimings,
@@ -778,19 +705,19 @@ fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_a
     } = pending;
     let built = build_runtime(
         ctx.scratch.take(),
-        schema,
+        Arc::clone(&schema),
         strategy,
         &request,
         wal.clone(),
         &ctx.state_store,
     );
-    let Ok((runtime, recorder)) = built else {
+    let Ok(runtime) = built else {
         // Validation already passed on the submitting thread, so the
         // only failure left is the request's one-shot streaming sink
         // being stolen by a concurrent resubmission racing this build.
         // The instance was admitted; account it abandoned and drop
         // `done_tx`, surfacing ServerGone.
-        ctx.abandon(id, wal.as_deref());
+        ctx.abandon(id, wal.as_ref());
         return;
     };
     let built_at = Instant::now();
@@ -798,31 +725,27 @@ fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_a
     let inst = Arc::new(Instance {
         id,
         ctx,
+        schema,
         runtime: Mutex::new(runtime),
         submit: timings,
         enqueued_at,
         dequeued_at: build_start,
         exec_start: built_at,
         done_tx,
-        recorder,
-        wal,
         label: request.label,
         deadline,
-        finished: Mutex::new(false),
-        rounds: AtomicU32::new(0),
     });
     Instance::pump(&inst);
 }
 
-/// Build one validated request's runtime (attaching the journal
-/// recorder and/or the write-ahead recorder when asked) without
-/// starting anything. Callers run [`EngineServer::validate`] first; for a
-/// durable request the lifecycle record must already be on the lane,
-/// because constructing the runtime streams the instance's
-/// eager-initialization frames into `wal` — frames must never precede
-/// their lifecycle record on disk (the build job is enqueued after the
-/// acceptance append, and the frames stream from the same shard, so
-/// the lane ordering holds).
+/// Build one validated request's runtime, with the flight recorder it
+/// asked for inside, without starting anything. Callers run
+/// [`EngineServer::validate`] first; for a durable request the
+/// lifecycle record must already be on the lane, because constructing
+/// the runtime streams the instance's eager-initialization frames into
+/// `wal` — frames must never precede their lifecycle record on disk
+/// (the build job is enqueued after the acceptance append, and the
+/// frames stream from the same shard, so the lane ordering holds).
 ///
 /// A delta resubmission resolves its prior snapshot here — from the
 /// request itself ([`Request::delta`]) or from `state_store` by label
@@ -836,9 +759,9 @@ fn build_runtime(
     schema: Arc<Schema>,
     strategy: Strategy,
     request: &Request,
-    wal: Option<Arc<WalRecorder>>,
+    wal: Option<WalRecorder>,
     state_store: &StateStore,
-) -> Result<(InstanceRuntime, Option<SharedJournalWriter>), SubmitError> {
+) -> Result<InstanceRuntime, SubmitError> {
     let plan = match &request.delta {
         None => None,
         Some(DeltaSource::Prior(prior)) => plan_delta(&schema, prior, &request.sources).ok(),
@@ -849,70 +772,19 @@ fn build_runtime(
             .and_then(|prior| plan_delta(&schema, &prior, &request.sources).ok()),
     };
     let retained = plan.as_ref().map_or(&[][..], |p| p.retained.as_slice());
-    // Streaming takes precedence over buffered capture, mirroring the
-    // in-process path: the journal lives on the sink and the result's
-    // `journal` field stays `None`.
-    let writer = match &request.journal_stream {
-        Some(stream) => {
-            let sink = stream.take().ok_or(SubmitError::StreamConsumed)?;
-            Some(JournalWriter::streaming(
-                &schema,
-                strategy,
-                &request.sources,
-                sink,
-            ))
-        }
-        None if request.record_journal => {
-            Some(JournalWriter::new(&schema, strategy, &request.sources))
-        }
-        None => None,
-    };
-    let recorder = writer.map(|writer| {
-        let recorder = SharedJournalWriter::new(writer);
-        recorder.set_disable_backward(request.options.disable_backward);
-        recorder
-    });
-    // The runtime's sink: the live recorder, the write-ahead recorder,
-    // or a tee into both — durability is an orthogonal option, exactly
-    // like journaling itself.
-    let sink: Option<Box<dyn JournalSink>> = match (&recorder, &wal) {
-        (_, Some(wal)) => Some(Box::new(TeeSink {
-            live: recorder.clone(),
-            wal: Arc::clone(wal),
-        })),
-        (Some(recorder), None) => Some(Box::new(recorder.clone())),
-        (None, None) => None,
-    };
-    let runtime = InstanceRuntime::with_options_retained_in(
-        scratch,
+    // Validation ran, so a consumed sink is all that can be wrong.
+    let recorder =
+        recorder_for(request, &schema, strategy, wal).map_err(|_| SubmitError::StreamConsumed)?;
+    InstanceRuntime::with_options_retained(
         schema,
         strategy,
         &request.sources,
         retained,
         request.options,
-        sink,
+        recorder,
+        scratch,
     )
-    .map_err(SubmitError::Sources)?;
-    Ok((runtime, recorder))
-}
-
-/// Journal sink fanning one event stream out to the live recorder and
-/// the write-ahead log. The engine already serializes sink calls under
-/// the instance's runtime lock, so both sides observe the identical
-/// clock-ordered stream — which is what makes a WAL-reconstructed
-/// journal byte-equal to the live capture.
-struct TeeSink {
-    live: Option<SharedJournalWriter>,
-    wal: Arc<WalRecorder>,
-}
-
-impl JournalSink for TeeSink {
-    fn record(&mut self, event: Event) {
-        if let Some(live) = &mut self.live {
-            JournalSink::record(live, event.clone());
-        }
-        self.wal.record(event);
-    }
+    .map_err(SubmitError::Sources)
 }
 
 /// Submission-path stage boundaries, measured by
@@ -1798,12 +1670,12 @@ impl EngineServer {
                     .append(ctx.index, event)
                     .map_err(|e| SubmitError::Store(e.to_string()))?;
                 timings.validate += append_start.elapsed();
-                Some(Arc::new(WalRecorder::new(
+                Some(WalRecorder::new(
                     Arc::clone(store),
                     ctx.index,
                     id,
                     requeue.unwrap_or(0),
-                )))
+                ))
             }
         };
         // An unrepresentable deadline (e.g. Duration::MAX budget)
@@ -1840,7 +1712,7 @@ impl EngineServer {
             // Every worker of the shard is dead, so the build can never
             // run. The dropped job released `pending` — and with it
             // `done_tx`, surfacing ServerGone on the ticket.
-            ctx.abandon(id, wal.as_deref());
+            ctx.abandon(id, wal.as_ref());
         }
         Ok(Ticket::new(done_rx, id, ctx.index, deadline))
     }
@@ -2037,6 +1909,7 @@ mod tests {
     use crate::state::AttrState;
     use crate::task::Task;
     use crate::value::Value;
+    use std::sync::atomic::AtomicU32;
 
     /// Fan-out/fan-in schema with a gated branch; task bodies sleep a
     /// little so true concurrency is exercised.

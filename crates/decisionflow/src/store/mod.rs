@@ -5,23 +5,29 @@
 //! # Architecture
 //!
 //! ```text
-//!  submit (durable)            appender lane (one thread per shard)
-//!  ──────────────────┐         ┌───────────────────────────────────┐
-//!  RequestAccepted ──┤bounded  │ drain batch → write frames →      │
-//!  FrameAppended   ──┤channel ─│ flush → fsync (group commit) →    │
-//!  InstanceSealed  ──┤         │ ack barriers → maybe rotate       │
-//!  ──────────────────┘         └───────────────┬───────────────────┘
-//!                                              ▼
-//!                              wal-<lane>-<seq>.seg   (append-only)
-//!                              [len u32][crc32 u32][StoreEvent JSON]…
+//!  who appends                          appender lane (one thread per shard)
+//!  ───────────────────────────┐         ┌───────────────────────────────────┐
+//!  admission  RequestAccepted ┤bounded  │ drain batch → write frames →      │
+//!  recorder   FrameAppended   ┤channel ─│ flush → fsync (group commit) →    │
+//!  recorder   InstanceSealed  ┤         │ ack barriers → maybe rotate       │
+//!  ───────────────────────────┘         └───────────────┬───────────────────┘
+//!                                                       ▼
+//!                                       wal-<lane>-<seq>.seg   (append-only)
+//!                                       [len u32][crc32 u32][StoreEvent JSON]…
 //! ```
 //!
-//! The submit hot path only serializes an event and enqueues it on a
-//! bounded channel — it never blocks on an fsync. Each lane's appender
-//! thread drains whatever has accumulated, writes it, and commits the
-//! whole batch with **one** `fdatasync` (group commit), so the
-//! durability cost amortizes across concurrent instances. A full
-//! channel applies backpressure instead of dropping records.
+//! The server's admission step appends `RequestAccepted` (or
+//! `RequestRequeued`); every `FrameAppended` and the one
+//! `InstanceSealed` come from the instance's recorder, the
+//! [`JournalWriter`](crate::journal::JournalWriter) inside its runtime,
+//! of which the WAL is one output — the frames are the very ones it
+//! stamps for its memory and tape outputs. Either way the hot path
+//! only enqueues an event on a bounded channel — it never blocks on an
+//! fsync. Each lane's appender thread drains whatever has accumulated,
+//! writes it, and commits the whole batch with **one** `fdatasync`
+//! (group commit), so the durability cost amortizes across concurrent
+//! instances. A full channel applies backpressure instead of dropping
+//! records.
 //!
 //! Segments are append-only and never truncated: a reopened store
 //! starts a fresh segment per lane, so a torn tail left by a crash is
@@ -52,9 +58,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 
-use crate::journal::{Event, Frame, Journal, SCHEMA_VERSION};
+use crate::journal::{Frame, Journal, SCHEMA_VERSION};
 use crate::telemetry::{Counter, LatencyHistogram, Registry};
 
 pub mod events;
@@ -744,22 +749,18 @@ fn seal_segment(writer: &mut Segment, metrics: &LaneMetrics) -> std::io::Result<
     commit(writer, metrics)
 }
 
-/// Per-instance WAL recorder the server attaches to durable
-/// instances: stamps frame clocks in arrival order (mirroring
-/// `JournalWriter`, so the reconstructed tape is byte-identical to
-/// live capture) and guarantees the exactly-once seal — events after
-/// the seal are dropped, and the seal itself fires at most once.
+/// The WAL output of a durable instance's
+/// [`JournalWriter`](crate::journal::JournalWriter): the instance's
+/// address on the log (lane, id, attempt). The writer stamps the frame
+/// clocks and decides when the one seal happens; this only wraps what
+/// it is handed into [`StoreEvent`]s, so the tape [`fetch_journal`]
+/// rebuilds is the one the writer's other outputs hold.
+#[derive(Clone)]
 pub(crate) struct WalRecorder {
     store: Arc<EventStore>,
     lane: usize,
     instance_id: u64,
     attempt: u32,
-    state: Mutex<WalState>,
-}
-
-struct WalState {
-    clock: u64,
-    sealed: bool,
 }
 
 impl WalRecorder {
@@ -774,29 +775,13 @@ impl WalRecorder {
             lane,
             instance_id,
             attempt,
-            state: Mutex::new(WalState {
-                clock: 0,
-                sealed: false,
-            }),
         }
     }
 
-    /// Record one journal event as a durable frame. Best-effort: a
-    /// failed lane latches into `wal_append_errors` and the instance
-    /// simply stays unsealed (so recovery re-executes it).
-    pub(crate) fn record(&self, event: Event) {
-        let frame = {
-            let mut st = self.state.lock();
-            if st.sealed {
-                return;
-            }
-            let frame = Frame {
-                clock: st.clock,
-                event,
-            };
-            st.clock += 1;
-            frame
-        };
+    /// Append one stamped frame. Best-effort: a failed lane latches
+    /// into `wal_append_errors` and the instance simply stays unsealed
+    /// (so recovery re-executes it).
+    pub(crate) fn frame(&self, frame: Frame) {
         let _ = self.store.append(
             self.lane,
             StoreEvent::FrameAppended {
@@ -807,16 +792,10 @@ impl WalRecorder {
         );
     }
 
-    /// Seal the instance's lifecycle — at most once; later calls and
-    /// later frames are no-ops.
+    /// Append the instance's seal. Exactly-once is the caller's: the
+    /// writer seals by being consumed, and the server's abandonment
+    /// path runs only for an instance that never sealed.
     pub(crate) fn seal(&self, outcome: SealOutcome) {
-        {
-            let mut st = self.state.lock();
-            if st.sealed {
-                return;
-            }
-            st.sealed = true;
-        }
         let _ = self.store.append(
             self.lane,
             StoreEvent::InstanceSealed {
@@ -1256,36 +1235,6 @@ mod tests {
         let store = EventStore::open(&dir).unwrap();
         assert_eq!(store.recovered().sealed.len(), 1);
         assert_eq!(store.recovered().next_instance_id, 2);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wal_recorder_seals_exactly_once_and_drops_late_frames() {
-        let dir = tmp_dir("recorder");
-        let store = Arc::new(EventStore::open(&dir).unwrap());
-        store
-            .append(
-                0,
-                StoreEvent::RequestAccepted {
-                    request: request(3),
-                },
-            )
-            .unwrap();
-        let rec = WalRecorder::new(Arc::clone(&store), 0, 3, 0);
-        rec.record(Event::Unneeded {
-            attr: AttrId::from_index(0),
-        });
-        rec.seal(SealOutcome::Completed);
-        rec.seal(SealOutcome::Abandoned); // no-op
-        rec.record(Event::Unneeded {
-            attr: AttrId::from_index(1),
-        }); // dropped
-        let journal = store.fetch_journal(3).unwrap();
-        assert_eq!(journal.frames.len(), 1);
-        let report = store.fsck().unwrap();
-        assert!(report.ok(), "{}", report.to_text());
-        assert_eq!(report.sealed, 1);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }

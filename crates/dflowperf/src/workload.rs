@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use decisionflow::api::Request;
-use decisionflow::engine::{scheduler, InstanceRuntime, RuntimeOptions, ServerStats, Strategy};
+use decisionflow::engine::{InstanceRuntime, RuntimeOptions, ServerStats, Strategy};
 use decisionflow::schema::AttrId;
 use decisionflow::server::{EngineServer, ServerBuildError};
 use decisionflow::snapshot::complete_snapshot;
@@ -948,24 +948,19 @@ impl SimDriver<'_> {
     /// zero-cost tasks complete inline, possibly enabling more
     /// launches, so iterate to quiescence.
     fn pump(&mut self, i: usize, sched: &mut Scheduler<Ev>) {
+        let mut launches = Vec::new();
         loop {
             if self.insts[i].done {
                 return;
             }
-            let slot = &mut self.insts[i];
-            let schema = std::sync::Arc::clone(slot.rt.schema());
-            let in_flight = slot.rt.in_flight_count();
-            let cands = slot.rt.candidates();
-            let picks = scheduler::select(&schema, self.strategy, cands, in_flight);
-            if picks.is_empty() {
+            self.insts[i].rt.round(&mut launches);
+            if launches.is_empty() {
                 break;
             }
             let mut immediate = Vec::new();
-            for a in picks {
+            for (a, inputs) in launches.drain(..) {
                 let flow_idx = i % self.workload.flows.len();
-                let slot = &mut self.insts[i];
-                let inputs = slot.rt.launch(a);
-                let schema = slot.rt.schema();
+                let schema = self.insts[i].rt.schema();
                 let value = schema.attr(a).task.compute(&inputs);
                 let cost = schema.cost(a);
                 if self.shared_query_cache {

@@ -11,14 +11,8 @@ use decision_flows::dflowgen::{generate, PatternParams};
 use decision_flows::prelude::{
     complete_snapshot, AttrId, InstanceRuntime, Schema, SourceValues, Strategy,
 };
-use decisionflow_scheduler_shim::select;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Re-export the engine scheduler for the shim below.
-mod decisionflow_scheduler_shim {
-    pub use decision_flows::decisionflow::engine::scheduler::select;
-}
 
 /// Drive one instance to completion, completing a random in-flight
 /// task at every step. Returns the runtime plus the number of steps.
@@ -31,6 +25,7 @@ fn run_chaos(
     let mut rt = InstanceRuntime::new(Arc::clone(schema), strategy, sources).expect("sources ok");
     // (attr, precomputed value) for in-flight tasks.
     let mut in_flight: Vec<(AttrId, decision_flows::prelude::Value)> = Vec::new();
+    let mut launches = Vec::new();
     let mut guard = 0usize;
     loop {
         guard += 1;
@@ -38,9 +33,9 @@ fn run_chaos(
         if rt.is_complete() {
             break;
         }
-        let picks = select(schema, strategy, rt.candidates(), in_flight.len());
-        for a in picks {
-            let inputs = rt.launch(a);
+        // The production scheduling round.
+        rt.round(&mut launches);
+        for (a, inputs) in launches.drain(..) {
             let v = schema.attr(a).task.compute(&inputs);
             in_flight.push((a, v));
         }
