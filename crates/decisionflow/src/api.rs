@@ -53,7 +53,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvErr
 use parking_lot::Mutex;
 
 use crate::engine::{unit_exec, ExecError, RuntimeOptions, Strategy, UnitOutcome};
-use crate::journal::{Journal, JournalWriter};
+use crate::journal::{Journal, JournalWriter, Outputs};
 use crate::schema::{AttrId, Schema};
 use crate::server::{InstanceResult, ServerGone};
 use crate::snapshot::SourceValues;
@@ -533,9 +533,7 @@ pub(crate) fn recorder_for(
         strategy,
         &request.sources,
         request.options.disable_backward,
-        memory,
-        tape,
-        wal,
+        Outputs { memory, tape, wal },
     )))
 }
 

@@ -127,8 +127,6 @@ pub struct InstanceRuntime {
     /// Unstable enabling references remaining, per attribute.
     pending_refs: Vec<u32>,
     in_flight: Vec<bool>,
-    /// How many entries of `in_flight` are set.
-    in_flight_n: usize,
 
     need_count: Vec<u32>,
     enab_edges_dead: Vec<bool>,
@@ -258,7 +256,6 @@ impl InstanceRuntime {
             pending_inputs: scratch.pending_inputs,
             pending_refs: scratch.pending_refs,
             in_flight: scratch.in_flight,
-            in_flight_n: 0,
             need_count: scratch.need_count,
             enab_edges_dead: scratch.enab_edges_dead,
             data_edges_dead: scratch.data_edges_dead,
@@ -423,7 +420,7 @@ impl InstanceRuntime {
 
     /// The attached recorder: replay reads the frames its live runtime
     /// emitted through here.
-    pub fn recorder(&self) -> Option<&JournalWriter> {
+    pub(crate) fn recorder(&self) -> Option<&JournalWriter> {
         self.recorder.as_ref()
     }
 
@@ -513,7 +510,7 @@ impl InstanceRuntime {
 
     /// Number of tasks currently in flight.
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight_n
+        self.in_flight.iter().filter(|b| **b).count()
     }
 
     // ------------------------------------------------------------------
@@ -603,7 +600,6 @@ impl InstanceRuntime {
     pub fn launch(&mut self, a: AttrId) -> Vec<Value> {
         assert!(self.is_candidate(a), "launch of non-candidate {a:?}");
         self.in_flight[a.index()] = true;
-        self.in_flight_n += 1;
         self.metrics.launched += 1;
         self.metrics.work += self.schema.cost(a);
         if self.recording() {
@@ -647,7 +643,6 @@ impl InstanceRuntime {
             });
         }
         self.in_flight[i] = false;
-        self.in_flight_n -= 1;
         // The task has produced its value: its inputs are no longer
         // needed on account of `a`.
         self.kill_data_in_edges(a);

@@ -64,8 +64,8 @@ pub use divergence::{Divergence, DivergenceKind};
 pub use frame::{Clock, Event, Frame};
 pub use replay::{ReplayEngine, ReplayOutcome};
 pub use stream::{read_journal, MemorySink};
-pub(crate) use writer::Sealed;
 pub use writer::{bind_sources, JournalWriter};
+pub(crate) use writer::{Outputs, Sealed};
 
 use serde::{Deserialize, Serialize};
 
@@ -458,6 +458,30 @@ mod tests {
             matches!(div.kind, DivergenceKind::PickMismatch { .. }),
             "{div}"
         );
+
+        // A round the live engine never ran (empty pool, so it emits no
+        // frame) is refuted at its clock; replay must not wait on it.
+        let mut padded = journal.clone();
+        let end = padded.frames.len() as Clock;
+        padded.frames.push(Frame {
+            clock: end,
+            event: Event::Round {
+                round: u32::MAX,
+                candidates: vec![],
+                picked: vec![],
+            },
+        });
+        let engine = ReplayEngine::new(Arc::clone(&schema), padded).unwrap();
+        let div = engine.replay().unwrap_err();
+        assert_eq!(div.clock, Some(end));
+        assert!(
+            matches!(
+                div.kind,
+                DivergenceKind::FrameMismatch { replayed: None, .. }
+            ),
+            "{div}"
+        );
+        assert_eq!(engine.step_to(end + 1).err().unwrap().clock, Some(end));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::engine::runtime::{InstanceRuntime, RuntimeOptions, RuntimeScratch};
 use crate::engine::strategy::Strategy;
 use crate::journal::divergence::{Divergence, DivergenceKind};
 use crate::journal::frame::{Clock, Event, Frame};
-use crate::journal::writer::JournalWriter;
+use crate::journal::writer::{JournalWriter, Outputs};
 use crate::journal::{schema_fingerprint, Journal, SCHEMA_VERSION};
 use crate::report::ExecutionRecord;
 use crate::schema::{AttrId, Schema};
@@ -175,9 +175,10 @@ impl ReplayEngine {
             self.strategy,
             &self.sources,
             self.journal.disable_backward,
-            true,
-            None,
-            None,
+            Outputs {
+                memory: true,
+                ..Outputs::default()
+            },
         );
         let options = RuntimeOptions {
             disable_backward: self.journal.disable_backward,
@@ -251,38 +252,36 @@ impl ReplayEngine {
                 Event::Round {
                     candidates, picked, ..
                 } => {
-                    // Run the production round; its own `Round` frame
-                    // (none, over an empty live pool) now sits at
-                    // `cursor`. Name a disagreeing pool or pick set as
-                    // such; the sync above then checks the frame whole
-                    // (round number included) and the launches after it.
+                    // Run the production round; its own `Round` frame now
+                    // sits at `cursor`. Name a disagreeing pool or pick
+                    // set as such; the sync above then checks the frame
+                    // whole (round number included) and the launches
+                    // after it.
                     rt.round(&mut launches);
                     launches.clear();
-                    let (live_candidates, live_picks) =
-                        match live(&rt).get(cursor).map(|f| &f.event) {
-                            Some(Event::Round {
-                                candidates, picked, ..
-                            }) => (&candidates[..], &picked[..]),
-                            _ => (&[][..], &[][..]),
-                        };
-                    if live_candidates != candidates.as_slice() {
-                        return Err(Divergence::at(
-                            frame.clock,
-                            DivergenceKind::CandidateMismatch {
-                                recorded: candidates.clone(),
-                                replayed: live_candidates.to_vec(),
-                            },
-                        ));
-                    }
-                    if live_picks != picked.as_slice() {
-                        return Err(Divergence::at(
-                            frame.clock,
+                    let kind = match live(&rt).get(cursor).map(|f| &f.event) {
+                        Some(Event::Round {
+                            candidates: got, ..
+                        }) if got != candidates => DivergenceKind::CandidateMismatch {
+                            recorded: candidates.clone(),
+                            replayed: got.clone(),
+                        },
+                        Some(Event::Round { picked: got, .. }) if got != picked => {
                             DivergenceKind::PickMismatch {
                                 recorded: picked.clone(),
-                                replayed: live_picks.to_vec(),
-                            },
-                        ));
-                    }
+                                replayed: got.clone(),
+                            }
+                        }
+                        Some(_) => continue,
+                        // An empty live pool emits no `Round`, so the
+                        // tape's one is refuted. Carrying on would spin:
+                        // nothing was emitted to advance `cursor`.
+                        None => DivergenceKind::FrameMismatch {
+                            recorded: Some(Box::new(frame.clone())),
+                            replayed: None,
+                        },
+                    };
+                    return Err(Divergence::at(frame.clock, kind));
                 }
                 Event::Complete { attr, value } => {
                     if !rt.is_in_flight(*attr) {

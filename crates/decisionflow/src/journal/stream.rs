@@ -284,7 +284,7 @@ mod tests {
     use super::*;
     use crate::api::Request;
     use crate::expr::{CmpOp, Expr};
-    use crate::journal::JournalWriter;
+    use crate::journal::{JournalWriter, Outputs};
     use crate::schema::{Schema, SchemaBuilder};
     use crate::snapshot::SourceValues;
     use crate::store::SealOutcome;
@@ -387,9 +387,10 @@ mod tests {
             "PSE100".parse().unwrap(),
             &sv,
             false,
-            false,
-            Some(Box::new(buf.clone())),
-            None,
+            Outputs {
+                tape: Some(Box::new(buf.clone())),
+                ..Outputs::default()
+            },
         );
         for i in 0..100u64 {
             w.record(crate::journal::Event::Launch {
@@ -509,9 +510,11 @@ mod tests {
             "PSE100".parse().unwrap(),
             &sv,
             false,
-            true,
-            Some(Box::new(FlakySink { ok_writes: 1 })),
-            None,
+            Outputs {
+                memory: true,
+                tape: Some(Box::new(FlakySink { ok_writes: 1 })),
+                wal: None,
+            },
         );
         for _ in 0..5 {
             w.record(crate::journal::Event::Unneeded {

@@ -79,6 +79,18 @@ pub(crate) struct Sealed {
     pub tape_error: Option<io::Error>,
 }
 
+/// Where a recording goes; any subset, none by default.
+#[derive(Default)]
+pub(crate) struct Outputs {
+    /// Buffer the frames, to be frozen into a [`Journal`] at seal.
+    pub memory: bool,
+    /// Stream header, frames and footer to this sink.
+    pub tape: Option<Box<dyn io::Write + Send>>,
+    /// Append the frames to this store lane (whose acceptance record
+    /// the caller has already appended).
+    pub wal: Option<WalRecorder>,
+}
+
 /// The flight recorder of one instance execution.
 pub struct JournalWriter {
     /// The header fields, plus the frames while the memory output is on.
@@ -97,23 +109,22 @@ impl JournalWriter {
     /// `sources` must be the exact bindings the instance runs with;
     /// they are embedded in the journal so replay needs nothing else.
     pub fn new(schema: &Schema, strategy: Strategy, sources: &SourceValues) -> JournalWriter {
-        JournalWriter::with_outputs(schema, strategy, sources, false, true, None, None)
+        let memory = Outputs {
+            memory: true,
+            ..Outputs::default()
+        };
+        JournalWriter::with_outputs(schema, strategy, sources, false, memory)
     }
 
-    /// Start a journal with an explicit set of outputs: `memory`
-    /// buffers the frames, `tape` streams them to a sink (the header
-    /// line goes out here), `wal` appends them to a store lane (whose
-    /// acceptance record the caller has already appended).
-    /// `disable_backward` is the ablation option the instance runs
-    /// with; it is part of the header.
+    /// Start a journal with an explicit set of [`Outputs`] (the tape's
+    /// header line goes out here). `disable_backward` is the ablation
+    /// option the instance runs with; it is part of the header.
     pub(crate) fn with_outputs(
         schema: &Schema,
         strategy: Strategy,
         sources: &SourceValues,
         disable_backward: bool,
-        memory: bool,
-        tape: Option<Box<dyn io::Write + Send>>,
-        wal: Option<WalRecorder>,
+        Outputs { memory, tape, wal }: Outputs,
     ) -> JournalWriter {
         let journal = Journal {
             version: SCHEMA_VERSION,
@@ -264,9 +275,11 @@ mod tests {
             strategy,
             &sv,
             false,
-            true,
-            Some(Box::new(tape.clone())),
-            Some(WalRecorder::new(Arc::clone(&store), 0, 3, 0)),
+            Outputs {
+                memory: true,
+                tape: Some(Box::new(tape.clone())),
+                wal: Some(WalRecorder::new(Arc::clone(&store), 0, 3, 0)),
+            },
         );
         let mut rt = InstanceRuntime::with_options_retained(
             Arc::clone(&schema),
