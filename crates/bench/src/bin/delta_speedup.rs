@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use decisionflow::engine::Strategy;
 use decisionflow::prelude::{Expr, SchemaBuilder, SourceValues, Task, Value};
+use decisionflow::server::EngineServer;
 use dflow_bench::harness::{f1, f2, ResultTable};
 use dflowgen::{GeneratedFlow, PatternParams};
 use dflowperf::{Arrival, Server, Workload};
@@ -143,7 +144,11 @@ fn main() {
         ],
     );
     let mut goodput = Vec::new();
-    for (mode, delta_rate, memoize) in [("cold", 0.0, 0), ("warm", 1.0, 4096)] {
+    let layout = EngineServer::builder().shards(1).workers_per_shard(4);
+    for (mode, delta_rate, builder) in [
+        ("cold", 0.0, layout.clone()),
+        ("warm", 1.0, layout.memoize(4096)),
+    ] {
         let r = Workload::new(vec![flow.clone()])
             .arrivals(Arrival::Resubmission {
                 clients,
@@ -156,12 +161,7 @@ fn main() {
             .warmup(clients)
             .seed(0xDE17A)
             .strategy(strategy)
-            .run(&Server {
-                shards: 1,
-                workers_per_shard: 4,
-                memoize,
-                ..Server::default()
-            })
+            .run(&Server(builder))
             .expect("resubmission run");
         assert_eq!(r.completed, clients * waves);
         goodput.push(r.throughput_per_sec);

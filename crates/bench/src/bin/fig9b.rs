@@ -35,6 +35,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use decisionflow::server::EngineServer;
 use dflow_bench::harness::{f1, ResultTable};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
 use dflowperf::{
@@ -253,11 +254,11 @@ fn open_load_vs_real_server(args: &Args) {
             .seed(0x9B)
             .deadline(deadline)
             .strategy("PCE100".parse().unwrap())
-            .run(&Server {
-                shards,
-                workers_per_shard: workers,
-                ..Server::default()
-            })
+            .run(&Server(
+                EngineServer::builder()
+                    .shards(shards)
+                    .workers_per_shard(workers),
+            ))
             .expect("server build");
         assert!(
             r.accounts_exactly(),

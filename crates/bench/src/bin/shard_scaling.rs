@@ -43,6 +43,7 @@
 use std::path::PathBuf;
 
 use decisionflow::engine::Strategy;
+use decisionflow::server::EngineServer;
 use decisionflow::telemetry::{HistogramSnapshot, TelemetrySnapshot};
 use dflow_bench::harness::{f1, f2, ResultTable};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
@@ -149,11 +150,9 @@ fn main() {
                 .instances(total_instances)
                 .warmup(warmup_instances)
                 .strategy(strategy)
-                .run(&Server {
-                    shards,
-                    workers_per_shard: 2,
-                    ..Server::default()
-                })
+                .run(&Server(
+                    EngineServer::builder().shards(shards).workers_per_shard(2),
+                ))
                 .expect("server build");
             assert_eq!(out.completed, total_instances);
             let side = out.server.as_ref().expect("server stats");

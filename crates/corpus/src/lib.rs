@@ -354,8 +354,8 @@ fn frame_json(frames: &[Frame], i: usize) -> Option<String> {
 
 /// Check one loaded entry against the current engine. Pushes findings;
 /// returns early once a phase fails (later phases would only echo it).
-/// `delta` comes from the matrix spec: the fresh rerun of a delta
-/// entry must rebuild the prior snapshot the same way [`capture`] did.
+/// `delta` comes from the matrix spec: the fresh rerun is a
+/// [`capture`] of the cell the manifest describes.
 fn check_entry(
     manifest: &EntryManifest,
     blessed: &Journal,
@@ -438,35 +438,17 @@ fn check_entry(
             return;
         }
     };
-    let mut request = Request::with_schema(Arc::clone(&flow.schema))
-        .sources(flow.sources.clone())
-        .strategy(strategy)
-        .record_journal(true);
-    if delta {
-        let cold = Request::with_schema(Arc::clone(&flow.schema))
-            .sources(flow.sources.clone())
-            .strategy(strategy)
-            .run();
-        match cold {
-            Ok(report) => {
-                let prior =
-                    InstanceSnapshot::capture(&report.outcome.runtime, manifest.name.as_str());
-                request = request.delta(Arc::new(prior));
-            }
-            Err(e) => {
-                findings.push(finding(
-                    "rerun",
-                    None,
-                    format!("cold seeding run failed: {e}"),
-                ));
-                return;
-            }
-        }
-    }
-    let fresh = match request.run() {
-        Ok(report) => report.journal.expect("journal requested"),
+    let spec = EntrySpec {
+        name: manifest.name.clone(),
+        params: manifest.params,
+        seed: manifest.seed,
+        strategy,
+        delta,
+    };
+    let fresh = match capture(&spec) {
+        Ok((_, journal)) => journal,
         Err(e) => {
-            findings.push(finding("rerun", None, format!("live run failed: {e}")));
+            findings.push(finding("rerun", None, e.to_string()));
             return;
         }
     };

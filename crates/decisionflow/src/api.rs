@@ -1,13 +1,9 @@
 //! The unified submission API: one [`Request`] in, one [`Ticket`]
 //! (or [`RunReport`]) out.
 //!
-//! Before this layer existed the public surface had forked into a
-//! combinatorial family — `run_unit_time` vs `run_unit_time_recorded`,
-//! `submit` vs `submit_recorded` vs `submit_batch`, and two handle
-//! types re-implementing the same waits. One execution model deserves
-//! one entry point; everything optional (journaling, strategy
-//! override, deadlines, labels) belongs on the request, not in the
-//! method name:
+//! One execution model has one entry point; everything optional
+//! (journaling, strategy override, deadlines, labels) is on the
+//! request, not in the method name:
 //!
 //! * [`Request`] — a builder carrying the schema (by registered name,
 //!   or inline as an `Arc<Schema>` for in-process runs), the
@@ -27,8 +23,8 @@
 //!   each stamped with its shard and a per-shard-monotone logical
 //!   clock). Internally each shard publishes into its own event lane
 //!   and a subscriber merges the per-shard rings, so completions on
-//!   different shards never contend one channel; pollers and load
-//!   drivers react to completions instead of spinning on `try_wait`.
+//!   different shards never contend one channel; pollers react to
+//!   completions instead of spinning on `try_wait`.
 //!
 //! Every server submission is also metered: the hot path records
 //! per-stage latencies into the shard-local histograms of

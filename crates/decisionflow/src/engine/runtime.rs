@@ -15,8 +15,10 @@
 //! re-evaluated at most once per referenced attribute stabilizing. With
 //! bounded condition sizes this makes the whole algorithm linear in the
 //! size of the decision flow, matching the paper's claim; the
-//! `propagation_steps` metric exposes the actual step count and a
-//! Criterion bench verifies linearity empirically.
+//! `propagation_steps` metric exposes the actual step count, and
+//! `propagation_steps_are_linear_in_flow_size` in
+//! `tests/generated_patterns.rs` holds it under one constant per node
+//! and edge from 32 to 512 nodes.
 //!
 //! ### Neededness accounting
 //!
@@ -71,9 +73,13 @@ pub struct RuntimeOptions {
 #[derive(Default)]
 pub struct RuntimeScratch {
     state: Vec<AttrState>,
+    /// Stable values (⊥ for DISABLED) and cached speculative results
+    /// for COMPUTED attributes.
     values: Vec<Value>,
     cond: Vec<Tri>,
+    /// Unstable data inputs remaining, per attribute.
     pending_inputs: Vec<u32>,
+    /// Unstable enabling references remaining, per attribute.
     pending_refs: Vec<u32>,
     in_flight: Vec<bool>,
     need_count: Vec<u32>,
@@ -82,7 +88,10 @@ pub struct RuntimeScratch {
     target_alive: Vec<bool>,
     pool: Vec<AttrId>,
     in_pool: Vec<bool>,
+    /// The scheduling round's working buffer: the pool going in, the
+    /// picks coming out ([`InstanceRuntime::round`]).
     picks: Vec<AttrId>,
+    /// Newly stable attributes awaiting propagation.
     stable_queue: VecDeque<AttrId>,
 }
 
@@ -117,33 +126,12 @@ pub struct InstanceRuntime {
     strategy: Strategy,
     options: RuntimeOptions,
 
-    state: Vec<AttrState>,
-    /// Stable values (⊥ for DISABLED) and cached speculative results
-    /// for COMPUTED attributes.
-    values: Vec<Value>,
-    cond: Vec<Tri>,
-    /// Unstable data inputs remaining, per attribute.
-    pending_inputs: Vec<u32>,
-    /// Unstable enabling references remaining, per attribute.
-    pending_refs: Vec<u32>,
-    in_flight: Vec<bool>,
-
-    need_count: Vec<u32>,
-    enab_edges_dead: Vec<bool>,
-    data_edges_dead: Vec<bool>,
-    target_alive: Vec<bool>,
+    /// The per-attribute buffers, held as the arena's unit so they are
+    /// built from and reclaimed into a [`RuntimeScratch`] whole.
+    bufs: RuntimeScratch,
     unstable_targets: u32,
-
-    pool: Vec<AttrId>,
-    in_pool: Vec<bool>,
-    /// The scheduling round's working buffer: the pool going in, the
-    /// picks coming out ([`InstanceRuntime::round`]).
-    picks: Vec<AttrId>,
     /// Scheduling rounds run so far over a non-empty pool.
     rounds: u32,
-
-    /// Newly stable attributes awaiting propagation.
-    stable_queue: VecDeque<AttrId>,
     /// Attributes adopted pre-stabilized from a prior snapshot
     /// ([`InstanceRuntime::with_options_retained`]); 0 on cold runs.
     retained: u32,
@@ -178,8 +166,8 @@ impl std::error::Error for Stalled {}
 
 impl ValueEnv for InstanceRuntime {
     fn view(&self, a: AttrId) -> AttrView<'_> {
-        if self.state[a.index()].is_stable() {
-            AttrView::Stable(&self.values[a.index()])
+        if self.bufs.state[a.index()].is_stable() {
+            AttrView::Stable(&self.bufs.values[a.index()])
         } else {
             AttrView::Unstable
         }
@@ -250,22 +238,9 @@ impl InstanceRuntime {
         let mut rt = InstanceRuntime {
             strategy,
             options,
-            state: scratch.state,
-            values: scratch.values,
-            cond: scratch.cond,
-            pending_inputs: scratch.pending_inputs,
-            pending_refs: scratch.pending_refs,
-            in_flight: scratch.in_flight,
-            need_count: scratch.need_count,
-            enab_edges_dead: scratch.enab_edges_dead,
-            data_edges_dead: scratch.data_edges_dead,
-            target_alive: scratch.target_alive,
+            bufs: scratch,
             unstable_targets: 0,
-            pool: scratch.pool,
-            in_pool: scratch.in_pool,
-            picks: scratch.picks,
             rounds: 0,
-            stable_queue: scratch.stable_queue,
             retained: 0,
             metrics: InstanceMetrics::new(),
             recorder,
@@ -284,22 +259,7 @@ impl InstanceRuntime {
     /// reclaiming. Intended for retired instances — the server calls it
     /// when the last reference to a finished instance drops.
     pub fn reclaim(&mut self) -> RuntimeScratch {
-        RuntimeScratch {
-            state: std::mem::take(&mut self.state),
-            values: std::mem::take(&mut self.values),
-            cond: std::mem::take(&mut self.cond),
-            pending_inputs: std::mem::take(&mut self.pending_inputs),
-            pending_refs: std::mem::take(&mut self.pending_refs),
-            in_flight: std::mem::take(&mut self.in_flight),
-            need_count: std::mem::take(&mut self.need_count),
-            enab_edges_dead: std::mem::take(&mut self.enab_edges_dead),
-            data_edges_dead: std::mem::take(&mut self.data_edges_dead),
-            target_alive: std::mem::take(&mut self.target_alive),
-            pool: std::mem::take(&mut self.pool),
-            in_pool: std::mem::take(&mut self.in_pool),
-            picks: std::mem::take(&mut self.picks),
-            stable_queue: std::mem::take(&mut self.stable_queue),
-        }
+        std::mem::take(&mut self.bufs)
     }
 
     fn initialize(&mut self, sources: &SourceValues, retained: &[(AttrId, AttrState, Value)]) {
@@ -307,8 +267,8 @@ impl InstanceRuntime {
         // Dependency counters.
         for a in schema.attr_ids() {
             let i = a.index();
-            self.pending_inputs[i] = schema.attr(a).inputs.len() as u32;
-            self.pending_refs[i] = schema.enabling_refs(a).len() as u32;
+            self.bufs.pending_inputs[i] = schema.attr(a).inputs.len() as u32;
+            self.bufs.pending_refs[i] = schema.enabling_refs(a).len() as u32;
         }
         // Needed counts: every edge alive, every target unstable.
         for a in schema.attr_ids() {
@@ -317,10 +277,10 @@ impl InstanceRuntime {
             count += schema.enabling_consumers(a).len() as u32;
             if schema.attr(a).target {
                 count += 1;
-                self.target_alive[a.index()] = true;
+                self.bufs.target_alive[a.index()] = true;
                 self.unstable_targets += 1;
             }
-            self.need_count[a.index()] = count;
+            self.bufs.need_count[a.index()] = count;
         }
         // Delta splice-in: adopt retained outcomes from a prior
         // snapshot before anything else stabilizes, so `Retained`
@@ -336,9 +296,9 @@ impl InstanceRuntime {
             debug_assert!(st.is_stable(), "retained {a:?} in unstable state {st:?}");
             debug_assert!(!schema.is_source(a), "sources are rebound, never retained");
             debug_assert!(
-                self.state[i].can_advance_to(st),
+                self.bufs.state[i].can_advance_to(st),
                 "illegal adoption {:?} -> {st:?} for {a:?}",
-                self.state[i]
+                self.bufs.state[i]
             );
             if self.recording() {
                 self.emit(Event::Retained {
@@ -347,20 +307,20 @@ impl InstanceRuntime {
                     value: v.clone(),
                 });
             }
-            self.state[i] = st;
-            self.values[i] = v.clone();
-            self.cond[i] = if st == AttrState::Disabled {
+            self.bufs.state[i] = st;
+            self.bufs.values[i] = v.clone();
+            self.bufs.cond[i] = if st == AttrState::Disabled {
                 Tri::False
             } else {
                 Tri::True
             };
             self.retained += 1;
-            if self.target_alive[i] {
-                self.target_alive[i] = false;
+            if self.bufs.target_alive[i] {
+                self.bufs.target_alive[i] = false;
                 self.unstable_targets -= 1;
                 self.dec_need(a);
             }
-            self.stable_queue.push_back(a);
+            self.bufs.stable_queue.push_back(a);
         }
         for &(a, _, _) in retained {
             self.kill_enabling_in_edges(a);
@@ -368,14 +328,14 @@ impl InstanceRuntime {
         }
         // Attributes with no data inputs are READY from the start.
         for a in schema.attr_ids() {
-            if !schema.is_source(a) && self.pending_inputs[a.index()] == 0 {
+            if !schema.is_source(a) && self.bufs.pending_inputs[a.index()] == 0 {
                 self.on_inputs_ready(a);
             }
         }
         // Sources stabilize immediately with their bound values; their
         // (vacuous) conditions are True.
         for &s in schema.sources() {
-            self.cond[s.index()] = Tri::True;
+            self.bufs.cond[s.index()] = Tri::True;
             // invariant: sources.validate ran before the engine started.
             let v = sources.get(s).expect("validated").clone();
             self.mark_stable(s, AttrState::Value, v);
@@ -386,10 +346,10 @@ impl InstanceRuntime {
         // conditions; under `N` only conditions with zero unstable
         // references are evaluated (their value is then exact).
         for &a in schema.topo_order() {
-            if schema.is_source(a) || self.cond[a.index()].is_decided() {
+            if schema.is_source(a) || self.bufs.cond[a.index()].is_decided() {
                 continue;
             }
-            let decidable = self.strategy.propagate || self.pending_refs[a.index()] == 0;
+            let decidable = self.strategy.propagate || self.bufs.pending_refs[a.index()] == 0;
             if decidable {
                 self.metrics.propagation_steps += 1;
                 let t = schema.attr(a).enabling.eval(self);
@@ -460,18 +420,18 @@ impl InstanceRuntime {
 
     /// Current state of `a`.
     pub fn state(&self, a: AttrId) -> AttrState {
-        self.state[a.index()]
+        self.bufs.state[a.index()]
     }
 
     /// Current condition verdict for `a`.
     pub fn cond(&self, a: AttrId) -> Tri {
-        self.cond[a.index()]
+        self.bufs.cond[a.index()]
     }
 
     /// Stable value of `a`, if `a` has stabilized.
     pub fn stable_value(&self, a: AttrId) -> Option<&Value> {
-        if self.state[a.index()].is_stable() {
-            Some(&self.values[a.index()])
+        if self.bufs.state[a.index()].is_stable() {
+            Some(&self.bufs.values[a.index()])
         } else {
             None
         }
@@ -483,12 +443,12 @@ impl InstanceRuntime {
         if !self.strategy.propagate || self.options.disable_backward {
             return true;
         }
-        self.need_count[a.index()] > 0
+        self.bufs.need_count[a.index()] > 0
     }
 
     /// Is the task for `a` currently executing?
     pub fn is_in_flight(&self, a: AttrId) -> bool {
-        self.in_flight[a.index()]
+        self.bufs.in_flight[a.index()]
     }
 
     /// All target attributes stable ⇒ the instance is complete.
@@ -510,7 +470,7 @@ impl InstanceRuntime {
 
     /// Number of tasks currently in flight.
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.iter().filter(|b| **b).count()
+        self.bufs.in_flight.iter().filter(|b| **b).count()
     }
 
     // ------------------------------------------------------------------
@@ -519,17 +479,17 @@ impl InstanceRuntime {
 
     fn is_candidate(&self, a: AttrId) -> bool {
         let i = a.index();
-        if self.state[i].is_stable()
-            || self.in_flight[i]
-            || self.state[i].has_value()
-            || self.pending_inputs[i] > 0
+        if self.bufs.state[i].is_stable()
+            || self.bufs.in_flight[i]
+            || self.bufs.state[i].has_value()
+            || self.bufs.pending_inputs[i] > 0
         {
             return false;
         }
         if !self.is_needed(a) {
             return false;
         }
-        match self.cond[i] {
+        match self.bufs.cond[i] {
             Tri::True => true,
             Tri::Unknown => self.strategy.speculative,
             Tri::False => false,
@@ -545,20 +505,20 @@ impl InstanceRuntime {
     pub fn candidates_into(&mut self, out: &mut Vec<AttrId>) {
         out.clear();
         let mut w = 0;
-        for idx in 0..self.pool.len() {
-            let a = self.pool[idx];
+        for idx in 0..self.bufs.pool.len() {
+            let a = self.bufs.pool[idx];
             if self.is_candidate(a) {
-                self.pool[w] = a;
+                self.bufs.pool[w] = a;
                 w += 1;
                 out.push(a);
             } else {
                 // A candidate leaves the pool for good when its fate is
                 // sealed: stable, launched, computed, or unneeded. Only
                 // those are ever inserted, so eviction is permanent.
-                self.in_pool[a.index()] = false;
+                self.bufs.in_pool[a.index()] = false;
             }
         }
-        self.pool.truncate(w);
+        self.bufs.pool.truncate(w);
     }
 
     /// One scheduling round — phases 2 and 3 of the loop: prequalify
@@ -572,7 +532,7 @@ impl InstanceRuntime {
     /// Apart from those input values an unrecorded round allocates
     /// nothing: it works in a buffer the runtime owns.
     pub fn round(&mut self, launches: &mut Vec<(AttrId, Vec<Value>)>) {
-        let mut picks = std::mem::take(&mut self.picks);
+        let mut picks = std::mem::take(&mut self.bufs.picks);
         self.candidates_into(&mut picks);
         if !picks.is_empty() {
             let candidates = self.recording().then(|| picks.clone());
@@ -591,7 +551,7 @@ impl InstanceRuntime {
                 launches.push((a, inputs));
             }
         }
-        self.picks = picks;
+        self.bufs.picks = picks;
     }
 
     /// Commit to executing `a`'s task: records the work (queries are
@@ -599,7 +559,7 @@ impl InstanceRuntime {
     /// task body. Panics if `a` is not a valid candidate.
     pub fn launch(&mut self, a: AttrId) -> Vec<Value> {
         assert!(self.is_candidate(a), "launch of non-candidate {a:?}");
-        self.in_flight[a.index()] = true;
+        self.bufs.in_flight[a.index()] = true;
         self.metrics.launched += 1;
         self.metrics.work += self.schema.cost(a);
         if self.recording() {
@@ -618,10 +578,10 @@ impl InstanceRuntime {
             .iter()
             .map(|&i| {
                 assert!(
-                    self.state[i.index()].is_stable(),
+                    self.bufs.state[i.index()].is_stable(),
                     "input {i:?} of {a:?} not stable"
                 );
-                self.values[i.index()].clone()
+                self.bufs.values[i.index()].clone()
             })
             .collect()
     }
@@ -633,7 +593,7 @@ impl InstanceRuntime {
     pub fn complete(&mut self, a: AttrId, v: Value) {
         let i = a.index();
         assert!(
-            self.in_flight[i],
+            self.bufs.in_flight[i],
             "completion for task not in flight: {a:?}"
         );
         if self.recording() {
@@ -642,23 +602,23 @@ impl InstanceRuntime {
                 value: v.clone(),
             });
         }
-        self.in_flight[i] = false;
+        self.bufs.in_flight[i] = false;
         // The task has produced its value: its inputs are no longer
         // needed on account of `a`.
         self.kill_data_in_edges(a);
-        match self.cond[i] {
+        match self.bufs.cond[i] {
             Tri::True => {
                 self.metrics.useful_completions += 1;
                 self.mark_stable(a, AttrState::Value, v);
             }
             Tri::Unknown => {
-                debug_assert!(self.state[i].can_advance_to(AttrState::Computed));
-                self.state[i] = AttrState::Computed;
-                self.values[i] = v;
+                debug_assert!(self.bufs.state[i].can_advance_to(AttrState::Computed));
+                self.bufs.state[i] = AttrState::Computed;
+                self.bufs.values[i] = v;
             }
             Tri::False => {
                 // Disabled while the query was running: discard.
-                debug_assert_eq!(self.state[i], AttrState::Disabled);
+                debug_assert_eq!(self.bufs.state[i], AttrState::Disabled);
                 self.metrics.wasted_completions += 1;
                 self.metrics.wasted_work += self.schema.cost(a);
             }
@@ -667,13 +627,15 @@ impl InstanceRuntime {
     }
 
     /// Check agreement with the declarative oracle on every **target**
-    /// attribute — the correctness criterion of §2.
+    /// attribute — the correctness condition of §2.
     pub fn agrees_with(&self, snap: &CompleteSnapshot) -> bool {
         self.schema
             .targets()
             .iter()
             .all(|&t| match (self.state(t), snap.state(t)) {
-                (AttrState::Value, FinalState::Value) => self.values[t.index()] == *snap.value(t),
+                (AttrState::Value, FinalState::Value) => {
+                    self.bufs.values[t.index()] == *snap.value(t)
+                }
                 (AttrState::Disabled, FinalState::Disabled) => true,
                 _ => false,
             })
@@ -697,9 +659,9 @@ impl InstanceRuntime {
     // ------------------------------------------------------------------
 
     fn pool_insert(&mut self, a: AttrId) {
-        if !self.in_pool[a.index()] && self.is_candidate(a) {
-            self.in_pool[a.index()] = true;
-            self.pool.push(a);
+        if !self.bufs.in_pool[a.index()] && self.is_candidate(a) {
+            self.bufs.in_pool[a.index()] = true;
+            self.bufs.pool.push(a);
         }
     }
 
@@ -708,11 +670,11 @@ impl InstanceRuntime {
         let i = a.index();
         debug_assert!(st.is_stable());
         debug_assert!(
-            self.state[i].can_advance_to(st),
+            self.bufs.state[i].can_advance_to(st),
             "illegal transition {:?} -> {st:?} for {a:?}",
-            self.state[i]
+            self.bufs.state[i]
         );
-        self.state[i] = st;
+        self.bufs.state[i] = st;
         if self.recording() {
             self.emit(Event::Stabilized {
                 attr: a,
@@ -720,13 +682,13 @@ impl InstanceRuntime {
                 value: v.clone(),
             });
         }
-        self.values[i] = v;
-        if self.target_alive[i] {
-            self.target_alive[i] = false;
+        self.bufs.values[i] = v;
+        if self.bufs.target_alive[i] {
+            self.bufs.target_alive[i] = false;
             self.unstable_targets -= 1;
             self.dec_need(a);
         }
-        self.stable_queue.push_back(a);
+        self.bufs.stable_queue.push_back(a);
     }
 
     /// Forward propagation: drain newly stable attributes, updating
@@ -734,11 +696,11 @@ impl InstanceRuntime {
     /// conditions.
     fn drain_propagation(&mut self) {
         let schema = Arc::clone(&self.schema);
-        while let Some(a) = self.stable_queue.pop_front() {
+        while let Some(a) = self.bufs.stable_queue.pop_front() {
             // Data consumers: one fewer unstable input.
             for &c in schema.data_consumers(a) {
                 self.metrics.propagation_steps += 1;
-                let pc = &mut self.pending_inputs[c.index()];
+                let pc = &mut self.bufs.pending_inputs[c.index()];
                 debug_assert!(*pc > 0);
                 *pc -= 1;
                 if *pc == 0 {
@@ -748,22 +710,22 @@ impl InstanceRuntime {
             // Enabling consumers: maybe (re-)evaluate their condition.
             for &c in schema.enabling_consumers(a) {
                 self.metrics.propagation_steps += 1;
-                let pr = &mut self.pending_refs[c.index()];
+                let pr = &mut self.bufs.pending_refs[c.index()];
                 debug_assert!(*pr > 0);
                 *pr -= 1;
-                if self.cond[c.index()].is_decided() {
+                if self.bufs.cond[c.index()].is_decided() {
                     continue;
                 }
                 let evaluate = if self.strategy.propagate {
                     true // eager: re-evaluate on every new fact
                 } else {
-                    self.pending_refs[c.index()] == 0 // naive: exact only
+                    self.bufs.pending_refs[c.index()] == 0 // naive: exact only
                 };
                 if evaluate {
                     self.metrics.propagation_steps += 1;
                     let t = schema.attr(c).enabling.eval(self);
                     if let Some(b) = t.as_bool() {
-                        if self.pending_refs[c.index()] > 0 {
+                        if self.bufs.pending_refs[c.index()] > 0 {
                             self.metrics.eager_decisions += 1;
                         }
                         self.decide_cond(c, b);
@@ -776,18 +738,18 @@ impl InstanceRuntime {
     /// All data inputs of `c` just became stable.
     fn on_inputs_ready(&mut self, c: AttrId) {
         let i = c.index();
-        if self.state[i].is_stable() {
+        if self.bufs.state[i].is_stable() {
             return; // disabled before inputs settled
         }
-        match self.cond[i] {
+        match self.bufs.cond[i] {
             Tri::True => {
-                debug_assert!(self.state[i].can_advance_to(AttrState::ReadyEnabled));
-                self.state[i] = AttrState::ReadyEnabled;
+                debug_assert!(self.bufs.state[i].can_advance_to(AttrState::ReadyEnabled));
+                self.bufs.state[i] = AttrState::ReadyEnabled;
                 self.pool_insert(c);
             }
             Tri::Unknown => {
-                debug_assert!(self.state[i].can_advance_to(AttrState::Ready));
-                self.state[i] = AttrState::Ready;
+                debug_assert!(self.bufs.state[i].can_advance_to(AttrState::Ready));
+                self.bufs.state[i] = AttrState::Ready;
                 self.pool_insert(c); // pool_insert re-checks speculative
             }
             Tri::False => unreachable!("condition false implies already stable"),
@@ -797,30 +759,30 @@ impl InstanceRuntime {
     /// Record a condition verdict and apply its consequences.
     fn decide_cond(&mut self, c: AttrId, verdict: bool) {
         let i = c.index();
-        debug_assert_eq!(self.cond[i], Tri::Unknown);
+        debug_assert_eq!(self.bufs.cond[i], Tri::Unknown);
         if self.recording() {
-            let eager = self.pending_refs[i] > 0;
+            let eager = self.bufs.pending_refs[i] > 0;
             self.emit(Event::CondDecided {
                 attr: c,
                 verdict,
                 eager,
             });
         }
-        self.cond[i] = Tri::from_bool(verdict);
+        self.bufs.cond[i] = Tri::from_bool(verdict);
         // The condition is settled: its referenced attributes are no
         // longer needed on account of `c`.
         self.kill_enabling_in_edges(c);
         if verdict {
-            match self.state[i] {
-                AttrState::Uninitialized => self.state[i] = AttrState::Enabled,
+            match self.bufs.state[i] {
+                AttrState::Uninitialized => self.bufs.state[i] = AttrState::Enabled,
                 AttrState::Ready => {
-                    self.state[i] = AttrState::ReadyEnabled;
+                    self.bufs.state[i] = AttrState::ReadyEnabled;
                     self.pool_insert(c);
                 }
                 AttrState::Computed => {
                     // Speculation paid off: the cached value becomes final.
                     self.metrics.useful_completions += 1;
-                    let v = std::mem::take(&mut self.values[i]);
+                    let v = std::mem::take(&mut self.bufs.values[i]);
                     self.mark_stable(c, AttrState::Value, v);
                 }
                 other => unreachable!("cond decided on state {other:?}"),
@@ -829,7 +791,7 @@ impl InstanceRuntime {
             self.metrics.disabled += 1;
             // Disabled: data inputs are no longer needed on account of c.
             self.kill_data_in_edges(c);
-            if self.state[i] == AttrState::Computed {
+            if self.bufs.state[i] == AttrState::Computed {
                 // Speculation wasted.
                 self.metrics.wasted_completions += 1;
                 self.metrics.wasted_work += self.schema.cost(c);
@@ -839,7 +801,7 @@ impl InstanceRuntime {
     }
 
     fn kill_enabling_in_edges(&mut self, c: AttrId) {
-        if std::mem::replace(&mut self.enab_edges_dead[c.index()], true) {
+        if std::mem::replace(&mut self.bufs.enab_edges_dead[c.index()], true) {
             return;
         }
         let schema = Arc::clone(&self.schema);
@@ -850,7 +812,7 @@ impl InstanceRuntime {
     }
 
     fn kill_data_in_edges(&mut self, c: AttrId) {
-        if std::mem::replace(&mut self.data_edges_dead[c.index()], true) {
+        if std::mem::replace(&mut self.bufs.data_edges_dead[c.index()], true) {
             return;
         }
         let schema = Arc::clone(&self.schema);
@@ -869,9 +831,9 @@ impl InstanceRuntime {
         let mut stack = vec![r];
         while let Some(r) = stack.pop() {
             let i = r.index();
-            debug_assert!(self.need_count[i] > 0, "need_count underflow at {r:?}");
-            self.need_count[i] -= 1;
-            if self.need_count[i] > 0 || self.state[i].is_stable() {
+            debug_assert!(self.bufs.need_count[i] > 0, "need_count underflow at {r:?}");
+            self.bufs.need_count[i] -= 1;
+            if self.bufs.need_count[i] > 0 || self.bufs.state[i].is_stable() {
                 continue;
             }
             // `r` is unneeded: it will never be launched (the pool
@@ -879,13 +841,13 @@ impl InstanceRuntime {
             // dependencies are released in turn.
             self.metrics.unneeded_detected += 1;
             self.emit(Event::Unneeded { attr: r });
-            if !std::mem::replace(&mut self.enab_edges_dead[i], true) {
+            if !std::mem::replace(&mut self.bufs.enab_edges_dead[i], true) {
                 for &x in self.schema.enabling_refs(r) {
                     self.metrics.propagation_steps += 1;
                     stack.push(x);
                 }
             }
-            if !std::mem::replace(&mut self.data_edges_dead[i], true) {
+            if !std::mem::replace(&mut self.bufs.data_edges_dead[i], true) {
                 for &x in &self.schema.attr(r).inputs {
                     self.metrics.propagation_steps += 1;
                     stack.push(x);

@@ -831,8 +831,9 @@ pub struct EngineServer {
     /// The durable event store, present iff the server was built with
     /// [`ServerBuilder::durable`].
     store: Option<Arc<EventStore>>,
-    /// Latched by the first [`EngineServer::recover_pending`] call so
-    /// recovery re-enqueues each crashed instance exactly once.
+    /// Latched by the first [`EngineServer::recover_pending`] call that
+    /// validates the whole pending set, so recovery re-enqueues each
+    /// crashed instance exactly once.
     recovered_once: AtomicBool,
 }
 
@@ -882,9 +883,10 @@ impl std::error::Error for ServerOpenError {
 
 /// Why [`EngineServer::recover_pending`] could not re-enqueue a
 /// crashed instance. Recovery is all-or-nothing over the pending set:
-/// the first unrecoverable instance aborts it, so an operator fixes
-/// the registry (or inspects the store with `dflow-store`) and retries
-/// rather than silently losing accepted work.
+/// the first unrecoverable instance aborts it with nothing re-enqueued,
+/// so an operator fixes the registry (or inspects the store with
+/// `dflow-store`) and calls again rather than silently losing accepted
+/// work.
 #[derive(Debug)]
 pub enum RecoverError {
     /// The server has no durable store (built without
@@ -1103,7 +1105,6 @@ const DEFAULT_SPAN_CAPACITY: usize = 256;
 pub struct ServerBuilder {
     shards: Option<usize>,
     workers_per_shard: Option<usize>,
-    workers: Option<usize>,
     strategy: Option<Strategy>,
     durable: Option<PathBuf>,
     event_capacity: usize,
@@ -1119,32 +1120,16 @@ impl ServerBuilder {
         self
     }
 
-    /// Worker threads per shard (default 1). Mutually exclusive with
-    /// [`workers`](ServerBuilder::workers).
+    /// Worker threads per shard (default 1) — the shard's finite
+    /// multiprogramming level. An instance is pinned to one shard, so
+    /// the tasks *within* one instance parallelize up to this count;
+    /// more shards raise cross-instance throughput instead.
     pub fn workers_per_shard(mut self, workers_per_shard: usize) -> ServerBuilder {
         assert!(
             workers_per_shard > 0,
             "worker pool needs at least one thread"
         );
         self.workers_per_shard = Some(workers_per_shard);
-        self
-    }
-
-    /// Total worker threads, spread over the shards (each shard gets
-    /// at least one; remainders go to the lowest-indexed shards).
-    /// Without an explicit [`shards`](ServerBuilder::shards) the
-    /// thread count also caps the shard count, so the total external
-    /// multiprogramming level — the aggregate number of concurrent
-    /// "external system" calls — is exactly `workers`.
-    ///
-    /// **Tradeoff:** an instance is pinned to one shard, so the tasks
-    /// *within* one instance only parallelize up to that shard's
-    /// worker count. Spreading optimizes cross-instance throughput —
-    /// the heavy-traffic regime; when intra-instance task parallelism
-    /// matters more, pick `.shards(1).workers_per_shard(n)`.
-    pub fn workers(mut self, workers: usize) -> ServerBuilder {
-        assert!(workers > 0, "worker pool needs at least one thread");
-        self.workers = Some(workers);
         self
     }
 
@@ -1199,37 +1184,22 @@ impl ServerBuilder {
     /// [`durable`](ServerBuilder::durable) was set, open (and replay)
     /// the event store.
     pub fn build(self) -> Result<EngineServer, ServerOpenError> {
-        assert!(
-            self.workers.is_none() || self.workers_per_shard.is_none(),
-            "workers(total) and workers_per_shard(n) are mutually exclusive"
-        );
-        let layout: Vec<usize> = if let Some(w) = self.workers {
-            let nshards = self
-                .shards
-                .unwrap_or_else(|| EngineServer::default_shard_count().min(w));
-            assert!(
-                w >= nshards,
-                "workers({w}) must cover at least one thread per shard ({nshards})"
-            );
-            let base = w / nshards;
-            let extra = w % nshards;
-            (0..nshards)
-                .map(|i| base + usize::from(i < extra))
-                .collect()
-        } else {
-            let nshards = self
-                .shards
-                .unwrap_or_else(EngineServer::default_shard_count);
-            vec![self.workers_per_shard.unwrap_or(1); nshards]
-        };
+        let shards = self
+            .shards
+            .unwrap_or_else(EngineServer::default_shard_count);
         let strategy = match self.strategy {
             Some(s) => s,
             // invariant: "PSE100" is a valid strategy string by construction.
             None => "PSE100".parse().expect("default strategy parses"),
         };
-        let server =
-            EngineServer::build_layout(layout, strategy, self.event_capacity, self.memoize)
-                .map_err(ServerOpenError::Build)?;
+        let server = EngineServer::build_layout(
+            shards,
+            self.workers_per_shard.unwrap_or(1),
+            strategy,
+            self.event_capacity,
+            self.memoize,
+        )
+        .map_err(ServerOpenError::Build)?;
         match self.durable {
             Some(dir) => server.attach_store(&dir),
             None => Ok(server),
@@ -1239,9 +1209,7 @@ impl ServerBuilder {
 
 impl EngineServer {
     /// Default shard count: the machine's available parallelism
-    /// (`1` when it cannot be determined). [`ServerBuilder`] and
-    /// `dflowperf`'s server-load driver both resolve their defaults
-    /// through this.
+    /// (`1` when it cannot be determined).
     pub fn default_shard_count() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1264,7 +1232,6 @@ impl EngineServer {
         ServerBuilder {
             shards: None,
             workers_per_shard: None,
-            workers: None,
             strategy: None,
             durable: None,
             event_capacity: DEFAULT_EVENT_CAPACITY,
@@ -1272,28 +1239,27 @@ impl EngineServer {
         }
     }
 
-    /// Construct the server for an explicit per-shard worker layout.
+    /// Construct the server: `nshards` shards of `workers_per_shard`
+    /// threads each.
     fn build_layout(
-        layout: Vec<usize>,
+        nshards: usize,
+        workers_per_shard: usize,
         strategy: Strategy,
         event_capacity: usize,
         memoize: Option<usize>,
     ) -> Result<EngineServer, ServerBuildError> {
-        assert!(!layout.is_empty(), "server needs at least one shard");
-        let events = Arc::new(EventHub::new(layout.len()));
+        let events = Arc::new(EventHub::new(nshards));
         let spans = Arc::new(SpanRecorder::new(DEFAULT_SPAN_CAPACITY));
         // Both incremental-recomputation structures are internally
         // sharded to the server's shard count, so worker threads from
         // different shards rarely contend on the same lock.
-        let state_store = Arc::new(StateStore::new(layout.len()));
-        let memo = memoize.map(|capacity| Arc::new(MemoTable::new(layout.len(), capacity)));
-        let shards = layout
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
+        let state_store = Arc::new(StateStore::new(nshards));
+        let memo = memoize.map(|capacity| Arc::new(MemoTable::new(nshards, capacity)));
+        let shards = (0..nshards)
+            .map(|i| {
                 Shard::new(
                     i,
-                    w,
+                    workers_per_shard,
                     Arc::clone(&events),
                     Arc::clone(&spans),
                     Arc::clone(&state_store),
@@ -1490,19 +1456,14 @@ impl EngineServer {
     /// every submission, completion, and abandonment to the owning
     /// shard's lane and merged by the subscriber; clocks are unique
     /// server-wide and strictly increasing within each shard — so
-    /// pollers, load drivers, and open-arrival pacers can react to
-    /// completions instead of spinning on [`Ticket::try_wait`].
+    /// pollers and dashboards can react to completions instead of
+    /// spinning on [`Ticket::try_wait`].
+    ///
+    /// The per-lane buffers are bounded so a slow subscriber can never
+    /// wedge the server: overflowing events are dropped for that
+    /// subscriber and counted by [`ServerEvents::dropped`].
     pub fn subscribe(&self) -> ServerEvents {
-        self.subscribe_with_capacity(self.event_capacity)
-    }
-
-    /// [`subscribe`](EngineServer::subscribe) with an explicit
-    /// per-lane buffer capacity. The buffers are bounded so a slow
-    /// subscriber can never wedge the server: overflowing events are
-    /// dropped for that subscriber and counted by
-    /// [`ServerEvents::dropped`].
-    pub fn subscribe_with_capacity(&self, capacity: usize) -> ServerEvents {
-        self.events.subscribe(capacity)
+        self.events.subscribe(self.event_capacity)
     }
 
     /// The shard owning instance id `id`: ids carry their shard in
@@ -1721,14 +1682,13 @@ impl EngineServer {
     ///
     /// The request names a [`register`]ed schema (or carries one
     /// inline), binds its sources, and opts into journaling, a
-    /// strategy override, a deadline, or a label — everything that
-    /// used to be a separate `submit_*` method:
+    /// strategy override, a deadline, or a label:
     ///
     /// ```no_run
     /// # use decisionflow::api::Request;
     /// # use decisionflow::server::EngineServer;
     /// # use decisionflow::snapshot::SourceValues;
-    /// # let server = EngineServer::builder().workers(2).build().unwrap();
+    /// # let server = EngineServer::builder().workers_per_shard(2).build().unwrap();
     /// # let sources = SourceValues::new();
     /// let ticket = server.submit(
     ///     Request::named("flow").sources(sources).record_journal(true),
@@ -1758,27 +1718,35 @@ impl EngineServer {
     /// Re-execute every accepted-but-unsealed instance the store
     /// recovered, returning their tickets in instance-id order.
     ///
-    /// Call it once, after re-registering the schemas the pending
-    /// instances name (recovery verifies each schema's structural
-    /// fingerprint against the one persisted at acceptance). Each
-    /// re-execution keeps its original instance id — and therefore its
-    /// shard and WAL lane — and logs a `RequestRequeued` record with a
-    /// bumped attempt number, so the exactly-once seal invariant holds
-    /// per attempt and [`EventStore::fetch_journal`] serves the sealed
+    /// Call it after re-registering the schemas the pending instances
+    /// name (recovery verifies each schema's structural fingerprint
+    /// against the one persisted at acceptance). Each re-execution
+    /// keeps its original instance id — and therefore its shard and
+    /// WAL lane — and logs a `RequestRequeued` record with a bumped
+    /// attempt number, so the exactly-once seal invariant holds per
+    /// attempt and [`EventStore::fetch_journal`] serves the sealed
     /// attempt's tape. Deadlines are re-armed from now: the original
     /// wall-clock budget is meaningless across a crash.
     ///
-    /// A second call is a no-op returning no tickets — re-enqueueing
-    /// the same instance twice would violate exactly-once.
+    /// Recovery is all-or-nothing, like [`submit_many`]: every pending
+    /// request is rebuilt and validated before any is admitted, so an
+    /// error ([`RecoverError::UnknownSchema`], say) re-enqueues nothing
+    /// and logs nothing — fix the registry and call again. Once a call
+    /// has admitted the pending set, every later call is a no-op
+    /// returning no tickets — re-enqueueing the same instance twice
+    /// would violate exactly-once.
+    ///
+    /// [`submit_many`]: EngineServer::submit_many
     pub fn recover_pending(&self) -> Result<Vec<Ticket>, RecoverError> {
         let store = self.store.as_ref().ok_or(RecoverError::NoStore)?;
-        // ordering: latch-before-read; one winner re-enqueues.
-        if self.recovered_once.swap(true, Ordering::SeqCst) {
+        // A stale `false` only costs a validation pass that the swap
+        // below then discards.
+        // ordering: pairs with the latching swap below.
+        if self.recovered_once.load(Ordering::SeqCst) {
             return Ok(Vec::new());
         }
-        let pending = store.recovered().pending.clone();
-        let mut tickets = Vec::with_capacity(pending.len());
-        for p in pending {
+        let mut validated = Vec::with_capacity(store.recovered().pending.len());
+        for p in &store.recovered().pending {
             let req = &p.request;
             let id = req.instance_id;
             let shard = self.shard_for(id);
@@ -1828,13 +1796,23 @@ impl EngineServer {
             if let Some(ms) = req.deadline_ms {
                 rebuilt = rebuilt.deadline(Duration::from_millis(ms));
             }
-            let ticket = self
+            let v = self
                 .validate(shard, rebuilt, Instant::now())
-                .and_then(|v| self.admit(shard, id, v, Some(p.next_attempt)))
                 .map_err(RecoverError::Submit)?;
-            tickets.push(ticket);
+            validated.push((shard, id, p.next_attempt, v));
         }
-        Ok(tickets)
+        // Latch only now that every pending request validated.
+        // ordering: latch-before-admit; one winner re-enqueues.
+        if self.recovered_once.swap(true, Ordering::SeqCst) {
+            return Ok(Vec::new());
+        }
+        validated
+            .into_iter()
+            .map(|(shard, id, attempt, v)| {
+                self.admit(shard, id, v, Some(attempt))
+                    .map_err(RecoverError::Submit)
+            })
+            .collect()
     }
 
     /// Submit a batch of requests in one call: the route cursor is
@@ -1963,10 +1941,11 @@ mod tests {
         (Arc::new(b.build().unwrap()), s)
     }
 
-    /// Builder shorthand: `workers` spread over the default shard layout.
+    /// Builder shorthand: one shard of `workers` threads.
     fn server(workers: usize, strategy: &str) -> EngineServer {
         EngineServer::builder()
-            .workers(workers)
+            .shards(1)
+            .workers_per_shard(workers)
             .strategy(strategy.parse().unwrap())
             .build()
             .unwrap()

@@ -16,7 +16,7 @@
 //! ```no_run
 //! # use decisionflow::server::EngineServer;
 //! # use decisionflow::telemetry::MetricsServer;
-//! let server = EngineServer::builder().workers(4).strategy("PSE100".parse().unwrap()).build().unwrap();
+//! let server = EngineServer::builder().shards(4).strategy("PSE100".parse().unwrap()).build().unwrap();
 //! let metrics = MetricsServer::bind("127.0.0.1:0", server.telemetry()).unwrap();
 //! println!("scrape me at http://{}/metrics", metrics.addr());
 //! ```

@@ -9,9 +9,8 @@
 //!   [`UnitTime`] (infinite-resource virtual clock, Figures 5–8),
 //!   [`SimDb`] (finite-resource simulated database, Figure 9(b)), or
 //!   [`Server`] (the real sharded `EngineServer`, closed waves *or*
-//!   an open pacing loop driven by `ServerEvents` with
-//!   `Request::deadline` late-drop accounting) — all reporting one
-//!   [`LoadReport`];
+//!   an open pacer with `Request::deadline` late-drop accounting) —
+//!   all reporting one [`LoadReport`];
 //! * [`pattern_sweep`] / [`guideline_for_pattern`] — sweep sugar over
 //!   `Workload` for per-pattern figures and guideline maps (Figure 8);
 //! * [`DbFunction`] — the empirical `Db` curve (Figure 9(a)),

@@ -1,13 +1,8 @@
 //! The unified load-generation surface: one [`Workload`] in, one
 //! [`LoadReport`] out, whatever executes it.
 //!
-//! Before this layer existed the crate had grown one driver per
-//! execution setting — `unit_sweep` (infinite-resource unit time),
-//! `run_open_load` (Poisson arrivals over the simulated database),
-//! `run_server_load` (closed waves against the real sharded server) —
-//! each with its own config struct, its own outcome struct, and its
-//! own defaults. The paper's experimental grid is *workload shapes ×
-//! execution settings*, so the API now says exactly that:
+//! The paper's experimental grid is *workload shapes × execution
+//! settings*, and the API says exactly that:
 //!
 //! * [`Workload`] — a builder carrying the flows, the [`Arrival`]
 //!   process (closed-loop waves or an open Poisson stream), the
@@ -20,9 +15,8 @@
 //!   * [`SimDb`] — desim + the finite-resource simulated database,
 //!     with an optional shared query cache (Figure 9(b));
 //!   * [`Server`] — the real sharded [`EngineServer`], closed waves
-//!     of batched submissions *or* an open Poisson pacing loop that
-//!     reacts to [`ServerEvents`] completions and accounts late drops
-//!     via `Request::deadline`;
+//!     of batched submissions *or* an open Poisson pacer, with late
+//!     drops accounted via `Request::deadline`;
 //! * [`LoadReport`] — the one outcome shape: throughput, latency
 //!   tallies and percentiles, per-phase counts, late-drop/abandon
 //!   accounting, and backend extras (database stats, per-shard server
@@ -45,25 +39,24 @@
 //! ```
 //!
 //! [`EngineServer`]: decisionflow::server::EngineServer
-//! [`ServerEvents`]: decisionflow::api::ServerEvents
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+mod server;
+mod simdb;
+mod unit;
 
-use decisionflow::api::Request;
-use decisionflow::engine::{InstanceRuntime, RuntimeOptions, ServerStats, Strategy};
-use decisionflow::schema::AttrId;
-use decisionflow::server::{EngineServer, ServerBuildError};
-use decisionflow::snapshot::complete_snapshot;
+use std::time::Duration;
+
+use decisionflow::engine::{RuntimeOptions, ServerStats, Strategy};
+use decisionflow::server::ServerBuildError;
 use decisionflow::telemetry::TelemetrySnapshot;
-use decisionflow::value::Value;
-use desim::{exp_time, Model, Scheduler, SimTime, Simulation, Tally};
+use desim::{SimTime, Tally};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use simdb::{DbConfig, DbEvent, QueryJob, SimDb as SimDbServer};
 
 use crate::guideline::StrategyPoint;
+
+pub use server::{OnServer, Server};
+pub use simdb::SimDb;
+pub use unit::UnitTime;
 
 // ---------------------------------------------------------------------------
 // Workload
@@ -98,10 +91,10 @@ pub enum Arrival {
     /// store); each later wave resubmits the same labels with `churn`
     /// source attributes rebound (numeric values perturbed
     /// deterministically per wave). A resubmission is a **delta**
-    /// ([`Request::delta_by_label`]) with probability `delta_rate`,
-    /// otherwise an identical full cold rerun — so sweeping
-    /// `delta_rate` from 0 to 1 on the same workload measures the
-    /// delta win directly. Server backends only ([`Server`] /
+    /// ([`Request::delta_by_label`](decisionflow::api::Request::delta_by_label))
+    /// with probability `delta_rate`, otherwise an identical full cold
+    /// rerun — so sweeping `delta_rate` from 0 to 1 on the same
+    /// workload measures the delta win directly. Server backends only ([`Server`] /
     /// [`OnServer`]): [`UnitTime`] and [`SimDb`] have no snapshot
     /// store to resubmit against.
     Resubmission {
@@ -125,7 +118,7 @@ pub enum Arrival {
 /// which strategy — executed by any [`Backend`].
 ///
 /// Instance `i` of the run uses flow replica `i % flows.len()`
-/// (round-robin), exactly as the legacy drivers did.
+/// (round-robin).
 #[derive(Clone)]
 pub struct Workload {
     flows: Vec<GeneratedFlow>,
@@ -317,7 +310,7 @@ pub enum LoadError {
     /// The [`Server`] backend failed to spawn its worker threads.
     Build(ServerBuildError),
     /// Execution failed mid-run (engine error, submission rejected,
-    /// oracle divergence under [`UnitTime::checked`]).
+    /// oracle divergence on [`UnitTime`]).
     Exec(String),
 }
 
@@ -575,8 +568,7 @@ impl LoadReport {
 
     /// Memo-table hit rate the server observed over the run
     /// (`hits / (hits + misses)`). `None` off the server backend or
-    /// when the server was built without [`Server::memoize`] /
-    /// `ServerBuilder::memoize`.
+    /// when the server was built without `ServerBuilder::memoize`.
     pub fn memo_hit_rate(&self) -> Option<f64> {
         let tele = &self.server.as_ref()?.telemetry;
         let hits = tele.counter("memo_hits")?;
@@ -686,30 +678,6 @@ impl Accounting {
         self.abandoned += 1;
     }
 
-    /// Account one server ticket: deliver its result (recording the
-    /// executing shard and the deadline outcome) or count the
-    /// abandonment. Shared by the closed-wave driver, the open-loop
-    /// pacer, and its dropped-events fallback.
-    fn settle_ticket(
-        &mut self,
-        idx: usize,
-        ticket: decisionflow::api::Ticket,
-        shards_seen: &mut std::collections::HashSet<usize>,
-    ) {
-        match ticket.wait() {
-            Ok(r) => {
-                shards_seen.insert(r.shard);
-                self.delivered(
-                    idx,
-                    r.deadline_exceeded,
-                    r.elapsed.as_secs_f64() * 1e3,
-                    &r.record.metrics,
-                );
-            }
-            Err(_gone) => self.abandoned(),
-        }
-    }
-
     /// Build the report from the run's frame data. `window_secs` is
     /// the measurement window (0 when the backend has no shared clock
     /// — both throughput rates then report 0).
@@ -756,923 +724,20 @@ impl Accounting {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// UnitTime backend
-// ---------------------------------------------------------------------------
-
-/// The in-process infinite-resource executor: every instance runs on
-/// its own virtual unit clock, so the arrival process cannot create
-/// contention and only determines *how many* instances run. Responses
-/// are the paper's TimeInUnits; deadlines (wall-clock budgets) have no
-/// clock to bind to and are ignored.
-#[derive(Clone, Copy, Debug)]
-pub struct UnitTime {
-    /// Check every execution against the declarative oracle
-    /// ([`complete_snapshot`]) and fail the run on divergence — the
-    /// guarantee the figure sweeps have always shipped with.
-    pub verify_oracle: bool,
-}
-
-impl UnitTime {
-    /// Oracle-checked execution (the default, and what every figure
-    /// uses).
-    pub fn checked() -> UnitTime {
-        UnitTime {
-            verify_oracle: true,
-        }
-    }
-
-    /// Skip the oracle check (twice as fast; for exploratory sweeps).
-    pub fn unchecked() -> UnitTime {
-        UnitTime {
-            verify_oracle: false,
-        }
-    }
-}
-
-impl Default for UnitTime {
-    fn default() -> UnitTime {
-        UnitTime::checked()
-    }
-}
-
-impl Backend for UnitTime {
-    fn name(&self) -> &'static str {
-        "unit-time"
-    }
-
-    fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
-        let Resolved { strategy, total } = workload.resolve()?;
-        if matches!(workload.arrival, Arrival::Resubmission { .. }) {
-            return Err(LoadError::config(
-                "resubmission arrivals need a server backend (no snapshot store here)",
-            ));
-        }
-        let mut acc = Accounting::new(workload.warmup, false);
-        for i in 0..total {
-            let flow = &workload.flows[i % workload.flows.len()];
-            let report = Request::with_schema(std::sync::Arc::clone(&flow.schema))
-                .sources(flow.sources.clone())
-                .strategy(strategy)
-                .options(workload.options)
-                .run()
-                .map_err(|e| LoadError::Exec(format!("instance {i}: {e}")))?;
-            if self.verify_oracle {
-                let snap = complete_snapshot(&flow.schema, &flow.sources)
-                    .map_err(|e| LoadError::Exec(format!("oracle for instance {i}: {e}")))?;
-                if !report.outcome.runtime.agrees_with(&snap) {
-                    return Err(LoadError::Exec(format!(
-                        "strategy {strategy} diverged from declarative semantics on flow seed {}",
-                        flow.seed
-                    )));
-                }
-            }
-            acc.delivered(
-                i,
-                false,
-                report.outcome.time_units as f64,
-                &report.outcome.metrics,
-            );
-        }
-        Ok(acc.into_report(ReportFrame {
-            backend: self.name(),
-            workload,
-            strategy,
-            submitted: total,
-            window_secs: 0.0,
-            wall: Duration::ZERO,
-            latency_unit: LatencyUnit::Units,
-        }))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SimDb backend
-// ---------------------------------------------------------------------------
-
-/// The finite-resource setting of §5: every launched task becomes a
-/// query on one shared simulated database ([`simdb`]), time is
-/// virtual, and responses are measured in (virtual) milliseconds.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimDb {
-    /// Database configuration (Table 1 defaults).
-    pub db: DbConfig,
-    /// Share query results across instances: a query whose
-    /// (attribute, input values) pair was already answered is served
-    /// from a shared cache instead of hitting the database — the
-    /// paper's concluding "overlapping data" question.
-    pub shared_query_cache: bool,
-}
-
-impl SimDb {
-    /// The Table-1 database with no cache.
-    pub fn new(db: DbConfig) -> SimDb {
-        SimDb {
-            db,
-            shared_query_cache: false,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Ev {
-    Arrive,
-    Db(DbEvent),
-}
-
-struct InstSlot {
-    rt: InstanceRuntime,
-    arrived: SimTime,
-    done: bool,
-}
-
-/// The desim model behind the [`SimDb`] backend: Poisson arrivals or
-/// closed waves over one shared database.
-struct SimDriver<'a> {
-    workload: &'a Workload,
-    strategy: Strategy,
-    total: usize,
-    db: SimDbServer,
-    insts: Vec<InstSlot>,
-    /// job id → (instance index, attribute, precomputed result value).
-    jobs: HashMap<u64, (usize, AttrId, Value)>,
-    next_job: u64,
-    rng: StdRng,
-    acc: Accounting,
-    finished: usize,
-    /// Virtual deadline budget, if the workload set one.
-    budget: Option<SimTime>,
-    /// Arrival time of the first measured instance (throughput window).
-    measure_start: SimTime,
-    /// True while a closed wave is being spawned (suppresses the
-    /// next-wave trigger until the wave is fully submitted).
-    spawning: bool,
-    /// (flow replica, attribute, input fingerprint) → cached result.
-    cache: HashMap<(usize, u32, u64), Value>,
-    cache_hits: u64,
-    shared_query_cache: bool,
-}
-
-fn inputs_fingerprint(inputs: &[Value]) -> u64 {
-    let mut h = 0xCAFE_F00Du64;
-    for v in inputs {
-        h = h.rotate_left(17) ^ v.fingerprint();
-    }
-    h
-}
-
-impl SimDriver<'_> {
-    fn spawn_instance(&mut self, sched: &mut Scheduler<Ev>) -> usize {
-        let i = self.insts.len();
-        let flow = &self.workload.flows[i % self.workload.flows.len()];
-        let rt = InstanceRuntime::with_options(
-            std::sync::Arc::clone(&flow.schema),
-            self.strategy,
-            &flow.sources,
-            self.workload.options,
-        )
-        .expect("generated flows bind all sources");
-        if i == self.workload.warmup {
-            self.measure_start = sched.now();
-        }
-        self.insts.push(InstSlot {
-            rt,
-            arrived: sched.now(),
-            done: false,
-        });
-        i
-    }
-
-    /// Launch everything the scheduler allows for instance `i`;
-    /// zero-cost tasks complete inline, possibly enabling more
-    /// launches, so iterate to quiescence.
-    fn pump(&mut self, i: usize, sched: &mut Scheduler<Ev>) {
-        let mut launches = Vec::new();
-        loop {
-            if self.insts[i].done {
-                return;
-            }
-            self.insts[i].rt.round(&mut launches);
-            if launches.is_empty() {
-                break;
-            }
-            let mut immediate = Vec::new();
-            for (a, inputs) in launches.drain(..) {
-                let flow_idx = i % self.workload.flows.len();
-                let schema = self.insts[i].rt.schema();
-                let value = schema.attr(a).task.compute(&inputs);
-                let cost = schema.cost(a);
-                if self.shared_query_cache {
-                    let key = (flow_idx, a.index() as u32, inputs_fingerprint(&inputs));
-                    if let Some(hit) = self.cache.get(&key) {
-                        // Overlapping data: the answer is known; skip
-                        // the database round-trip entirely.
-                        self.cache_hits += 1;
-                        immediate.push((a, hit.clone()));
-                        continue;
-                    }
-                    self.cache.insert(key, value.clone());
-                }
-                let id = self.next_job;
-                self.next_job += 1;
-                let job = QueryJob { id, cost };
-                match self.db.submit(job, sched, &Ev::Db) {
-                    Some(_c) => immediate.push((a, value)),
-                    None => {
-                        self.jobs.insert(id, (i, a, value));
-                    }
-                }
-            }
-            for (a, v) in immediate {
-                self.insts[i].rt.complete(a, v);
-            }
-            self.check_done(i, sched);
-        }
-        self.check_done(i, sched);
-    }
-
-    fn check_done(&mut self, i: usize, sched: &mut Scheduler<Ev>) {
-        let slot = &mut self.insts[i];
-        if !slot.done && slot.rt.is_complete() {
-            slot.done = true;
-            let resp = sched.now().saturating_sub(slot.arrived);
-            let late = self.budget.is_some_and(|b| resp > b);
-            let metrics = self.insts[i].rt.metrics().clone();
-            self.acc.delivered(i, late, resp.as_millis_f64(), &metrics);
-            self.finished += 1;
-            if self.finished == self.total {
-                sched.stop();
-            } else {
-                self.maybe_next_wave(sched);
-            }
-        }
-    }
-
-    /// Closed-loop pacing: once a wave has fully drained (and been
-    /// fully spawned), schedule the next one.
-    fn maybe_next_wave(&mut self, sched: &mut Scheduler<Ev>) {
-        if self.spawning || !matches!(self.workload.arrival, Arrival::Closed { .. }) {
-            return;
-        }
-        if self.finished == self.insts.len() && self.insts.len() < self.total {
-            sched.schedule_in(SimTime::ZERO, Ev::Arrive);
-        }
-    }
-}
-
-impl Model for SimDriver<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, ev: Ev, sched: &mut Scheduler<Ev>) {
-        match ev {
-            Ev::Arrive => match self.workload.arrival {
-                Arrival::Poisson { rate } => {
-                    let i = self.spawn_instance(sched);
-                    if self.insts.len() < self.total {
-                        let mean = SimTime::from_secs_f64(1.0 / rate);
-                        let gap = exp_time(&mut self.rng, mean);
-                        sched.schedule_in(gap, Ev::Arrive);
-                    }
-                    self.pump(i, sched);
-                }
-                Arrival::Closed { clients, .. } => {
-                    self.spawning = true;
-                    let wave = clients.min(self.total - self.insts.len());
-                    for _ in 0..wave {
-                        let i = self.spawn_instance(sched);
-                        self.pump(i, sched);
-                    }
-                    self.spawning = false;
-                    self.maybe_next_wave(sched);
-                }
-                // invariant: SimDb::run rejects resubmission workloads
-                // before the simulation is primed.
-                Arrival::Resubmission { .. } => {
-                    unreachable!("resubmission arrivals rejected before simulation start")
-                }
-            },
-            Ev::Db(dbev) => {
-                if let Some(c) = self.db.handle(dbev, sched, &Ev::Db) {
-                    let (i, attr, value) = self
-                        .jobs
-                        .remove(&c.job.id)
-                        .expect("completion for unknown job");
-                    self.insts[i].rt.complete(attr, value);
-                    self.check_done(i, sched);
-                    self.pump(i, sched);
-                }
-            }
-        }
-    }
-}
-
-impl Backend for SimDb {
-    fn name(&self) -> &'static str {
-        "simdb"
-    }
-
-    fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
-        let Resolved { strategy, total } = workload.resolve()?;
-        if matches!(workload.arrival, Arrival::Resubmission { .. }) {
-            return Err(LoadError::config(
-                "resubmission arrivals need a server backend (no snapshot store here)",
-            ));
-        }
-        let driver = SimDriver {
-            workload,
-            strategy,
-            total,
-            db: SimDbServer::new(self.db, workload.seed.wrapping_mul(0x9E37_79B9)),
-            insts: Vec::with_capacity(total),
-            jobs: HashMap::new(),
-            next_job: 0,
-            rng: StdRng::seed_from_u64(workload.seed),
-            acc: Accounting::new(workload.warmup, workload.deadline.is_some()),
-            finished: 0,
-            budget: workload
-                .deadline
-                .map(|d| SimTime::from_secs_f64(d.as_secs_f64())),
-            measure_start: SimTime::ZERO,
-            spawning: false,
-            cache: HashMap::new(),
-            cache_hits: 0,
-            shared_query_cache: self.shared_query_cache,
-        };
-        let mut sim = Simulation::new(driver);
-        sim.prime(SimTime::ZERO, Ev::Arrive);
-        // A stop is requested when the last instance completes;
-        // Exhausted can only happen if every instance finished with no
-        // events left (e.g. all targets disabled at init).
-        let _ = sim.run();
-        let makespan = sim.now();
-        let d = sim.into_model();
-        if d.finished != total {
-            return Err(LoadError::Exec(format!(
-                "run ended before all instances completed ({}/{total})",
-                d.finished
-            )));
-        }
-        let window = makespan.saturating_sub(d.measure_start).as_secs_f64();
-        let sim_stats = SimDbStats {
-            mean_gmpl: d.db.mean_gmpl(),
-            mean_unit_time_ms: d.db.unit_times().mean() * 1e3,
-            cache_hits: d.cache_hits,
-            makespan,
-        };
-        let mut report = d.acc.into_report(ReportFrame {
-            backend: self.name(),
-            workload,
-            strategy,
-            submitted: total,
-            window_secs: window.max(1e-9),
-            wall: Duration::from_secs_f64(makespan.as_secs_f64()),
-            latency_unit: LatencyUnit::Millis,
-        });
-        report.sim = Some(sim_stats);
-        Ok(report)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Server backend
-// ---------------------------------------------------------------------------
-
-/// The real sharded multi-threaded [`EngineServer`]. Closed arrivals
-/// reproduce the batched-wave harness (`submit_many`, one wave awaited
-/// before the next); Poisson arrivals run an open pacing loop on the
-/// calling thread that submits on schedule, **reacts to
-/// [`ServerEvents`] completions** between arrivals instead of polling
-/// tickets, and tallies late drops via the server-side
-/// `InstanceResult::deadline_exceeded` flag (derived from
-/// `Request::deadline`).
-///
-/// [`ServerEvents`]: decisionflow::api::ServerEvents
-#[derive(Clone, Debug)]
-pub struct Server {
-    /// Number of shards (`0` = the machine's available parallelism).
-    pub shards: usize,
-    /// Worker threads per shard.
-    pub workers_per_shard: usize,
-    /// When set, the server is opened **durable** over the event store
-    /// at this path (`ServerBuilder::durable`) and every
-    /// request is submitted with [`Request::durable`] — the load run
-    /// then measures the write-ahead-logged hot path, and the
-    /// resulting `wal_*` metrics ride along in the report's telemetry
-    /// snapshot.
-    pub durable_dir: Option<std::path::PathBuf>,
-    /// When nonzero, the server is built with cross-request
-    /// memoization of this capacity (`ServerBuilder::memoize`) —
-    /// identical task executions across requests compute once, and the
-    /// report's [`memo_hit_rate`](LoadReport::memo_hit_rate) becomes
-    /// meaningful.
-    pub memoize: usize,
-}
-
-impl Default for Server {
-    fn default() -> Server {
-        Server {
-            shards: 0,
-            workers_per_shard: 1,
-            durable_dir: None,
-            memoize: 0,
-        }
-    }
-}
-
-impl Server {
-    fn build(&self, strategy: Strategy, workload: &Workload) -> Result<EngineServer, LoadError> {
-        if self.workers_per_shard == 0 {
-            return Err(LoadError::config("workers_per_shard must be positive"));
-        }
-        let shards = if self.shards == 0 {
-            EngineServer::default_shard_count()
-        } else {
-            self.shards
-        };
-        let mut builder = EngineServer::builder()
-            .shards(shards)
-            .workers_per_shard(self.workers_per_shard)
-            .strategy(strategy);
-        if let Some(dir) = &self.durable_dir {
-            builder = builder.durable(dir.clone());
-        }
-        if self.memoize > 0 {
-            builder = builder.memoize(self.memoize);
-        }
-        let server = builder
-            .build()
-            .map_err(|e| LoadError::Exec(e.to_string()))?;
-        register_flows(&server, workload);
-        Ok(server)
-    }
-}
-
-/// What both server-side backends stamp into [`LoadReport::backend`].
-const SERVER_BACKEND: &str = "server";
-
-/// Register the workload's flows into `server` as `flow0`, `flow1`, …
-/// — the names [`server_request`] submits against. [`OnServer`] calls
-/// this on a *caller-owned* server, overwriting any schemas previously
-/// registered under those names.
-fn register_flows(server: &EngineServer, workload: &Workload) {
-    for (i, flow) in workload.flows.iter().enumerate() {
-        server.register(format!("flow{i}"), std::sync::Arc::clone(&flow.schema));
-    }
-}
-
-/// The `i`-th request of a server run. The strategy is set explicitly
-/// (not left to the server default) so a borrowed [`OnServer`] backend
-/// runs the workload's strategy even when the caller built the server
-/// with a different one.
-fn server_request(workload: &Workload, strategy: Strategy, i: usize, durable: bool) -> Request {
-    let flow = &workload.flows[i % workload.flows.len()];
-    let mut req = Request::named(format!("flow{}", i % workload.flows.len()))
-        .sources(flow.sources.clone())
-        .options(workload.options)
-        .strategy(strategy)
-        .durable(durable);
-    if let Some(budget) = workload.deadline {
-        req = req.deadline(budget);
-    }
-    req
-}
-
-/// Closed waves against an already-built server: `clients`-sized
-/// `submit_many` batches, each wave awaited before the next (which
-/// also guarantees a resubmission finds its client's previous
-/// completion already committed). `request(i)` builds the run's
-/// `i`-th request; it is called in index order.
-fn run_waves_on(
-    server: &EngineServer,
-    workload: &Workload,
-    strategy: Strategy,
-    total: usize,
-    clients: usize,
-    mut request: impl FnMut(usize) -> Request,
-) -> Result<LoadReport, LoadError> {
-    let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
-    let mut shards_seen = std::collections::HashSet::new();
-    let t0 = Instant::now();
-    // Starts when the first wave containing a measured instance is
-    // submitted, so the throughput window covers every measured
-    // instance but neither server construction nor pure-warmup
-    // waves.
-    let mut measure_t0: Option<Instant> = None;
-    let mut next = 0usize;
-    while next < total {
-        let wave = clients.min(total - next);
-        if measure_t0.is_none() && next + wave > workload.warmup {
-            measure_t0 = Some(Instant::now());
-        }
-        let tickets = server
-            .submit_many((next..next + wave).map(&mut request))
-            .map_err(|e| LoadError::Exec(e.to_string()))?;
-        for (k, t) in tickets.into_iter().enumerate() {
-            acc.settle_ticket(next + k, t, &mut shards_seen);
-        }
-        next += wave;
-    }
-    let wall = t0.elapsed();
-    let measured_wall = measure_t0.map(|t| t.elapsed()).unwrap_or(wall);
-    let mut report = acc.into_report(ReportFrame {
-        backend: SERVER_BACKEND,
-        workload,
-        strategy,
-        submitted: total,
-        window_secs: measured_wall.as_secs_f64().max(1e-9),
-        wall,
-        latency_unit: LatencyUnit::Millis,
-    });
-    report.server = Some(server_side(server, shards_seen.len(), None));
-    Ok(report)
-}
-
-/// The server's end-of-run view for the report. A durable run
-/// quiesces the WAL before the snapshot, so the report's `wal_*`
-/// metrics cover every append the run enqueued.
-fn server_side(
-    server: &EngineServer,
-    shards_used: usize,
-    pacer: Option<PacerStats>,
-) -> ServerSideStats {
-    if let Some(store) = server.store() {
-        let _ = store.sync();
-    }
-    ServerSideStats {
-        stats: server.stats(),
-        shards_used,
-        telemetry: server.telemetry().snapshot(),
-        pacer,
-    }
-}
-
-/// Deterministic per-wave source perturbation for resubmission churn:
-/// numeric values shift by the wave number (so every wave's binding
-/// differs from the last snapshot's), non-numeric values are left
-/// alone (an unchanged binding simply stays out of the delta cone).
-fn perturb(v: Value, wave: usize) -> Value {
-    match v {
-        Value::Int(i) => Value::Int(i.wrapping_add(wave as i64)),
-        Value::Float(f) => Value::Float(f + wave as f64),
-        other => other,
-    }
-}
-
-/// The request client `c` submits in `wave` of a resubmission run:
-/// wave 0 is the cold labeled seeding run; later waves rebind `churn`
-/// sources (rotating which ones, so the cone moves around the schema)
-/// and ride the delta path when `delta` is set.
-fn resub_request(
-    workload: &Workload,
-    strategy: Strategy,
-    c: usize,
-    wave: usize,
-    churn: usize,
-    delta: bool,
-    durable: bool,
-) -> Request {
-    let mut req = server_request(workload, strategy, c, durable).label(format!("client{c}"));
-    if wave > 0 && churn > 0 {
-        let flow = &workload.flows[c % workload.flows.len()];
-        let mut sources = flow.sources.clone();
-        let srcs = flow.schema.sources();
-        for k in 0..churn.min(srcs.len()) {
-            let a = srcs[(wave * churn + k) % srcs.len()];
-            if let Some(v) = sources.get(a).cloned() {
-                sources.set(a, perturb(v, wave));
-            }
-        }
-        req = req.sources(sources);
-    }
-    if wave > 0 && delta {
-        req = req.delta_by_label();
-    }
-    req
-}
-
-/// Open Poisson pacing against an already-built server, split across
-/// two dedicated threads:
-///
-/// * a **pacer** that submits each instance at its (seeded,
-///   exponential-gap) arrival time against the *absolute* schedule —
-///   sleeping most of each gap and spinning the last stretch, so
-///   thread wake-up latency does not make every arrival a scheduler
-///   quantum late at ≫1k/s offered rates — and never waits on
-///   results;
-/// * a **collector** (the calling thread) that consumes the server's
-///   event stream and adopts tickets from the pacer, settling each
-///   instance the moment its terminal event lands — no ticket
-///   polling, and no submission stalls while a completion is being
-///   accounted.
-///
-/// Pacing continues regardless of backlog: that is what makes the
-/// system saturate when offered load exceeds capacity. The realized
-/// schedule fidelity is reported in [`PacerStats`].
-fn run_open_on(
-    server: &EngineServer,
-    workload: &Workload,
-    strategy: Strategy,
-    total: usize,
-    rate: f64,
-    durable: bool,
-) -> Result<LoadReport, LoadError> {
-    // Submitted + Completed/Abandoned per instance, plus headroom:
-    // sized so the collector (which drains continuously) never
-    // forces drops; a fallback below handles the pathological case
-    // anyway.
-    let events = server.subscribe_with_capacity(2 * total + 64);
-    let mean = SimTime::from_secs_f64(1.0 / rate);
-    let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
-    let mut pending: HashMap<u64, (usize, decisionflow::api::Ticket)> = HashMap::new();
-    // Terminal events that beat their ticket through the channel: the
-    // event stream and the ticket channel race, so a completion can
-    // land before the collector has adopted the instance.
-    let mut orphans: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut shards_seen = std::collections::HashSet::new();
-    let t0 = Instant::now();
-    let mut last_done = t0;
-    let mut accounted = 0usize;
-
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, decisionflow::api::Ticket)>();
-
-    let (pacer_result, pacer_stats, measure_t0) = std::thread::scope(|scope| {
-        let pacer = scope.spawn(move || {
-            // Spin-finish window: sleep until this close to the target,
-            // then spin. Large enough to absorb typical wake-up
-            // latency, small enough not to monopolize a core.
-            const SPIN: Duration = Duration::from_micros(60);
-            let mut rng = StdRng::seed_from_u64(workload.seed);
-            let start = Instant::now();
-            let mut measure_t0 = start;
-            let mut scheduled = Duration::ZERO;
-            let mut first = (Duration::ZERO, Duration::ZERO);
-            let mut last = (Duration::ZERO, Duration::ZERO);
-            let mut lag_sum = 0f64;
-            let mut lag_max = 0f64;
-            let mut emitted = 0usize;
-            let mut result = Ok(());
-            for idx in 0..total {
-                let target = start + scheduled;
-                loop {
-                    let now = Instant::now();
-                    if now >= target {
-                        break;
-                    }
-                    let remaining = target - now;
-                    if remaining > SPIN {
-                        std::thread::sleep(remaining - SPIN);
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                if idx == workload.warmup {
-                    measure_t0 = Instant::now();
-                }
-                let ticket = match server.submit(server_request(workload, strategy, idx, durable)) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        result = Err(LoadError::Exec(e.to_string()));
-                        break;
-                    }
-                };
-                let actual = start.elapsed();
-                let lag = (actual.as_secs_f64() - scheduled.as_secs_f64()).abs();
-                lag_sum += lag;
-                lag_max = lag_max.max(lag);
-                if emitted == 0 {
-                    first = (scheduled, actual);
-                }
-                last = (scheduled, actual);
-                emitted += 1;
-                if tx.send((idx, ticket)).is_err() {
-                    break; // collector gone; stop offering load
-                }
-                scheduled += Duration::from_secs_f64(exp_time(&mut rng, mean).as_secs_f64());
-            }
-            let stats = PacerStats {
-                arrivals: emitted,
-                scheduled_span_secs: (last.0 - first.0).as_secs_f64(),
-                actual_span_secs: (last.1 - first.1).as_secs_f64(),
-                mean_abs_lag_secs: if emitted > 0 {
-                    lag_sum / emitted as f64
-                } else {
-                    0.0
-                },
-                max_abs_lag_secs: lag_max,
-            };
-            (result, stats, measure_t0)
-        });
-
-        let mut rx_done = false;
-        'collect: while accounted < total {
-            // Adopt newly submitted tickets; settle any whose
-            // terminal event already arrived.
-            loop {
-                match rx.try_recv() {
-                    Ok((idx, ticket)) => {
-                        if orphans.remove(&ticket.instance_id()) {
-                            acc.settle_ticket(idx, ticket, &mut shards_seen);
-                            accounted += 1;
-                            last_done = Instant::now();
-                        } else {
-                            pending.insert(ticket.instance_id(), (idx, ticket));
-                        }
-                    }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        rx_done = true;
-                        break;
-                    }
-                }
-            }
-            if accounted >= total || (rx_done && pending.is_empty()) {
-                break;
-            }
-            // If the subscription ever dropped events (it should not:
-            // the buffer covers the whole run), fall back to waiting
-            // the remaining tickets directly so the run still
-            // accounts exactly.
-            if events.dropped() > 0 {
-                break;
-            }
-            match events.recv_timeout(Duration::from_millis(10)) {
-                Ok(Some(ev)) => {
-                    use decisionflow::api::InstanceEvent as E;
-                    match ev {
-                        E::Submitted { .. } => {}
-                        E::Completed { instance_id, .. } | E::Abandoned { instance_id, .. } => {
-                            if let Some((idx, ticket)) = pending.remove(&instance_id) {
-                                // A terminal event is published just
-                                // before the result is sent (or the
-                                // sender dropped), so this wait is at
-                                // most a few microseconds — the only
-                                // wait the collector does on a ticket.
-                                acc.settle_ticket(idx, ticket, &mut shards_seen);
-                                accounted += 1;
-                                last_done = Instant::now();
-                            } else {
-                                orphans.insert(instance_id);
-                            }
-                        }
-                    }
-                }
-                Ok(None) => {}
-                Err(_gone) => break 'collect,
-            }
-        }
-        // Fallback settlement: adopt whatever the pacer still emits
-        // (the iterator ends when it drops its sender), then settle
-        // every pending ticket directly. On the happy path both loops
-        // see nothing.
-        for (idx, ticket) in rx.iter() {
-            acc.settle_ticket(idx, ticket, &mut shards_seen);
-            accounted += 1;
-            last_done = Instant::now();
-        }
-        for (idx, ticket) in pending.drain().map(|(_, v)| v) {
-            acc.settle_ticket(idx, ticket, &mut shards_seen);
-            last_done = Instant::now();
-        }
-        match pacer.join() {
-            Ok(out) => out,
-            Err(_) => (
-                Err(LoadError::Exec("pacer thread panicked".into())),
-                PacerStats {
-                    arrivals: 0,
-                    scheduled_span_secs: 0.0,
-                    actual_span_secs: 0.0,
-                    mean_abs_lag_secs: 0.0,
-                    max_abs_lag_secs: 0.0,
-                },
-                t0,
-            ),
-        }
-    });
-    pacer_result?;
-    let wall = t0.elapsed();
-    let window = last_done
-        .saturating_duration_since(measure_t0)
-        .as_secs_f64();
-    let mut report = acc.into_report(ReportFrame {
-        backend: SERVER_BACKEND,
-        workload,
-        strategy,
-        submitted: total,
-        window_secs: window.max(1e-9),
-        wall,
-        latency_unit: LatencyUnit::Millis,
-    });
-    report.server = Some(server_side(server, shards_seen.len(), Some(pacer_stats)));
-    Ok(report)
-}
-
-/// Run `workload` against an already-built server under its arrival
-/// process — the one dispatch [`Server`] and [`OnServer`] share.
-fn run_on(
-    server: &EngineServer,
-    workload: &Workload,
-    strategy: Strategy,
-    total: usize,
-    durable: bool,
-) -> Result<LoadReport, LoadError> {
-    match workload.arrival {
-        Arrival::Closed { clients, .. } => {
-            run_waves_on(server, workload, strategy, total, clients, |i| {
-                server_request(workload, strategy, i, durable)
-            })
-        }
-        Arrival::Poisson { rate } => run_open_on(server, workload, strategy, total, rate, durable),
-        Arrival::Resubmission {
-            clients,
-            delta_rate,
-            churn,
-            ..
-        } => {
-            // Wave 0 seeds every client's snapshot cold; later waves
-            // resubmit the same labels, each as a delta with
-            // probability `delta_rate` — seeded by `Workload::seed`, so
-            // two runs offer the identical request sequence.
-            let mut rng = StdRng::seed_from_u64(workload.seed);
-            run_waves_on(server, workload, strategy, total, clients, |i| {
-                let delta = rng.gen_bool(delta_rate);
-                let (client, wave) = (i % clients, i / clients);
-                resub_request(workload, strategy, client, wave, churn, delta, durable)
-            })
-        }
-    }
-}
-
-impl Backend for Server {
-    fn name(&self) -> &'static str {
-        SERVER_BACKEND
-    }
-
-    fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
-        let Resolved { strategy, total } = workload.resolve()?;
-        let server = self.build(strategy, workload)?;
-        let durable = self.durable_dir.is_some();
-        run_on(&server, workload, strategy, total, durable)
-    }
-}
-
-/// A [`Backend`] that runs the workload on a **caller-owned**
-/// [`EngineServer`] instead of building a private one — the workload
-/// becomes one load source among whatever else the server is doing,
-/// and its effects show up in the server's own
-/// [`telemetry`](EngineServer::telemetry), stats, and event streams
-/// (which is exactly what a live dashboard wants; see
-/// `examples/server_dashboard.rs`).
-///
-/// Differences from [`Server`]:
-///
-/// * the server's shard/worker layout is whatever the caller built;
-/// * [`run`](Backend::run) registers the workload's flows into the
-///   server as `flow0`, `flow1`, … — overwriting schemas previously
-///   registered under those names;
-/// * every request carries the workload's strategy explicitly, so the
-///   server's default strategy does not leak into the run;
-/// * the final [`ServerSideStats`] snapshot aggregates the server's
-///   whole history, not just this workload's instances.
-#[derive(Clone, Copy)]
-pub struct OnServer<'a> {
-    server: &'a EngineServer,
-    durable: bool,
-}
-
-impl<'a> OnServer<'a> {
-    /// Run workloads on `server` instead of a freshly built one.
-    pub fn new(server: &'a EngineServer) -> OnServer<'a> {
-        OnServer {
-            server,
-            durable: false,
-        }
-    }
-
-    /// Submit every request with [`Request::durable`]. The borrowed
-    /// server must have been built with `ServerBuilder::durable` (it
-    /// needs an event store), or every submission fails.
-    pub fn durable(mut self, durable: bool) -> OnServer<'a> {
-        self.durable = durable;
-        self
-    }
-}
-
-impl Backend for OnServer<'_> {
-    fn name(&self) -> &'static str {
-        SERVER_BACKEND
-    }
-
-    fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
-        let Resolved { strategy, total } = workload.resolve()?;
-        register_flows(self.server, workload);
-        run_on(self.server, workload, strategy, total, self.durable)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ::simdb::DbConfig;
+    use decisionflow::server::EngineServer;
+
+    /// A `Server` backend of `shards` × `workers_per_shard`.
+    fn server(shards: usize, workers_per_shard: usize) -> Server {
+        Server(
+            EngineServer::builder()
+                .shards(shards)
+                .workers_per_shard(workers_per_shard),
+        )
+    }
 
     fn flows(n: u64, params: PatternParams) -> Vec<GeneratedFlow> {
         (0..n)
@@ -1701,13 +766,7 @@ mod tests {
             .strategy("PCE100".parse().unwrap());
         let unit = w.run(&UnitTime::checked()).unwrap();
         let sim = w.run(&SimDb::default()).unwrap();
-        let server = w
-            .run(&Server {
-                shards: 2,
-                workers_per_shard: 1,
-                ..Server::default()
-            })
-            .unwrap();
+        let server = w.run(&server(2, 1)).unwrap();
         for r in [&unit, &sim, &server] {
             assert_eq!(r.submitted, 24, "{}", r.backend);
             assert_eq!(r.completed, 24, "{}", r.backend);
@@ -1836,11 +895,7 @@ mod tests {
             })
             .warmup(8)
             .strategy("PSE100".parse().unwrap())
-            .run(&Server {
-                shards: 4,
-                workers_per_shard: 1,
-                ..Server::default()
-            })
+            .run(&server(4, 1))
             .unwrap();
         assert_eq!(r.completed, 64);
         assert_eq!(r.responses.count(), 56, "post-warmup instances");
@@ -1869,12 +924,12 @@ mod tests {
                 waves: 3,
             })
             .strategy("PCE100".parse().unwrap())
-            .run(&Server {
-                shards: 2,
-                workers_per_shard: 1,
-                durable_dir: Some(dir.clone()),
-                ..Server::default()
-            })
+            .run(&Server(
+                EngineServer::builder()
+                    .shards(2)
+                    .workers_per_shard(1)
+                    .durable(dir.clone()),
+            ))
             .unwrap();
         assert_eq!(r.completed, 12);
         let tele = &r.server.as_ref().unwrap().telemetry;
@@ -1893,8 +948,8 @@ mod tests {
     #[test]
     fn server_open_paces_reacts_and_accounts() {
         // A small open-arrival run against the real server: every
-        // instance is accounted through the event stream, and the
-        // identity holds with a deadline set.
+        // instance is accounted, and the identity holds with a
+        // deadline set.
         let fl: Vec<GeneratedFlow> = flows(2, small())
             .into_iter()
             .map(|f| f.with_unit_delay(Duration::from_micros(100)))
@@ -1906,11 +961,7 @@ mod tests {
             .seed(2)
             .deadline(Duration::from_secs(30))
             .strategy("PCE100".parse().unwrap())
-            .run(&Server {
-                shards: 2,
-                workers_per_shard: 1,
-                ..Server::default()
-            })
+            .run(&server(2, 1))
             .unwrap();
         assert_eq!(r.submitted, 40);
         assert!(r.accounts_exactly());
@@ -1928,7 +979,7 @@ mod tests {
     /// Offered-rate fidelity: at 10k/s the dedicated pacer thread's
     /// emitted arrival span must stay within 1% of its
     /// seeded-exponential schedule. The absolute-schedule design means
-    /// transient stalls self-correct, so the criterion is stable —
+    /// transient stalls self-correct, so the bound is stable —
     /// but the test still allows a noisy-neighbor retry before
     /// declaring the pacer broken.
     #[test]
@@ -1947,11 +998,7 @@ mod tests {
                 .warmup(100)
                 .seed(23 + attempt)
                 .strategy("PCE0".parse().unwrap())
-                .run(&Server {
-                    shards: 1,
-                    workers_per_shard: 2,
-                    ..Server::default()
-                })
+                .run(&server(1, 2))
                 .unwrap();
             assert!(r.accounts_exactly());
             let pacer = r
@@ -1986,7 +1033,7 @@ mod tests {
     fn workload_validation_rejects_bad_configs() {
         let fl = flows(1, small());
         let strat: Strategy = "PCE0".parse().unwrap();
-        let err = |w: Workload| w.run(&UnitTime::unchecked()).unwrap_err().to_string();
+        let err = |w: Workload| w.run(&UnitTime::checked()).unwrap_err().to_string();
         assert!(err(Workload::new(Vec::<GeneratedFlow>::new())
             .strategy(strat)
             .instances(1))
@@ -2048,12 +1095,12 @@ mod tests {
             .seed(21)
             .strategy("PCE100".parse().unwrap());
         let r = w
-            .run(&Server {
-                shards: 2,
-                workers_per_shard: 1,
-                memoize: 256,
-                ..Server::default()
-            })
+            .run(&Server(
+                EngineServer::builder()
+                    .shards(2)
+                    .workers_per_shard(1)
+                    .memoize(256),
+            ))
             .unwrap();
         assert_eq!(r.submitted, 20);
         assert_eq!(r.completed, 20);
@@ -2086,11 +1133,7 @@ mod tests {
             })
             .seed(13)
             .strategy("PCE100".parse().unwrap());
-        let backend = Server {
-            shards: 1,
-            workers_per_shard: 2,
-            ..Server::default()
-        };
+        let backend = server(1, 2);
         let a = w.run(&backend).unwrap();
         let b = w.run(&backend).unwrap();
         for r in [&a, &b] {
@@ -2119,7 +1162,7 @@ mod tests {
             })
             .strategy("PCE0".parse().unwrap());
         for msg in [
-            w.run(&UnitTime::unchecked()).unwrap_err().to_string(),
+            w.run(&UnitTime::checked()).unwrap_err().to_string(),
             w.run(&SimDb::default()).unwrap_err().to_string(),
         ] {
             assert!(msg.contains("server backend"), "{msg}");

@@ -71,10 +71,10 @@ fn routing_flow() -> Arc<Schema> {
 
 fn main() {
     let schema = routing_flow();
-    // 4 worker threads = the external systems' multiprogramming level;
-    // the server spreads them over up to 4 shards (hash-routed).
+    // 4 shards of one worker thread each: 4 is the external systems'
+    // multiprogramming level.
     let server = EngineServer::builder()
-        .workers(4)
+        .shards(4)
         .strategy("PSE100".parse().unwrap())
         .build()
         .expect("spawn worker threads");

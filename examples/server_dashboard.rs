@@ -33,10 +33,11 @@ fn main() {
         .workers_per_shard(2)
         .strategy(strategy)
         .memoize(4096)
+        .event_capacity(8192)
         .build()
         .expect("server build");
     let telemetry = server.telemetry();
-    let events = server.subscribe_with_capacity(8192);
+    let events = server.subscribe();
 
     // Table-1-style generated flows as the offered load.
     let params = PatternParams {

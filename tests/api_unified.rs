@@ -398,7 +398,7 @@ fn events_reconcile_with_stats_under_multi_shard_load() {
         server.register(format!("flow{i}"), Arc::clone(&f.schema));
     }
     server.register("doomed", Arc::clone(&doomed));
-    let events = server.subscribe_with_capacity(4 * 44 + 8);
+    let events = server.subscribe();
 
     let mut tickets = Vec::new();
     let mut doomed_ids = Vec::new();

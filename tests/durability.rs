@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use decision_flows::decisionflow::store;
@@ -385,6 +385,141 @@ fn lifecycle_records_precede_frames_on_disk() {
     );
     assert!(frames > 0, "durable instances leave frames");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-task flow whose task body waits for `gate`: instances stay
+/// accepted-but-unsealed for as long as the gate is shut. `entered`
+/// counts the bodies currently parked on it.
+fn gated_schema(gate: &Arc<AtomicBool>, entered: &Arc<AtomicU64>) -> Arc<Schema> {
+    let (gate, entered) = (Arc::clone(gate), Arc::clone(entered));
+    let mut b = SchemaBuilder::new();
+    let s = b.source("s");
+    let t = b.attr(
+        "t",
+        Task::query(1, move |ins: &[Value]| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            ins[0].clone()
+        }),
+        vec![s],
+        Expr::Lit(true),
+    );
+    b.mark_target(t);
+    Arc::new(b.build().expect("gated flow well-formed"))
+}
+
+/// Regression: a `recover_pending` that fails part-way (one pending
+/// instance names a schema nobody registered yet) must leave *nothing*
+/// re-enqueued and must not latch — otherwise the caller registers the
+/// schema, calls again, gets no tickets, and everything past the first
+/// failure stays pending until the next process start.
+#[test]
+fn recover_pending_is_all_or_nothing_and_retryable() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let entered = Arc::new(AtomicU64::new(0));
+    let schema = gated_schema(&gate, &entered);
+    let mut sources = SourceValues::new();
+    sources.set(schema.lookup("s").expect("source"), 7i64);
+
+    // First life: four durable instances, "f" and "g" interleaved, all
+    // parked on the gate. Once both workers of the shard sit in a task
+    // body nothing else can append, so a copy of the synced log is the
+    // log of a process killed with four instances accepted and none
+    // sealed.
+    let live_dir = scratch("partial-live");
+    let crashed = scratch("partial-crashed");
+    let first = open_server(&live_dir);
+    first.register("f", Arc::clone(&schema));
+    first.register("g", Arc::clone(&schema));
+    let tickets: Vec<Ticket> = ["f", "g", "f", "g"]
+        .iter()
+        .map(|name| {
+            first
+                .submit(Request::named(*name).sources(sources.clone()).durable(true))
+                .expect("durable submit")
+        })
+        .collect();
+    let ids: Vec<u64> = tickets.iter().map(Ticket::instance_id).collect();
+    while entered.load(Ordering::SeqCst) < 2 {
+        std::thread::yield_now();
+    }
+    first
+        .store()
+        .expect("durable")
+        .sync()
+        .expect("group commit");
+    copy_store(&live_dir, &crashed);
+    gate.store(true, Ordering::SeqCst);
+    for ticket in tickets {
+        ticket.wait().expect("first life completes");
+    }
+    drop(first);
+    let _ = std::fs::remove_dir_all(&live_dir);
+
+    // Second life, "g" not registered yet: the call fails on instance
+    // 1 and instance 0 — already validated — must not have been
+    // re-admitted, in memory or on disk.
+    let server = open_server(&crashed);
+    server.register("f", Arc::clone(&schema));
+    match server.recover_pending() {
+        Err(RecoverError::UnknownSchema {
+            instance_id,
+            schema,
+        }) => {
+            assert_eq!((instance_id, schema.as_str()), (ids[1], "g"));
+        }
+        other => panic!("expected UnknownSchema, got {other:?}"),
+    }
+    assert_eq!(server.stats().submitted(), 0, "nothing re-admitted");
+    server.store().expect("durable").sync().expect("barrier");
+    let on_disk = store::inspect(&crashed).expect("live store inspects");
+    assert_eq!(
+        on_disk
+            .pending
+            .iter()
+            .map(|p| (p.request.instance_id, p.next_attempt))
+            .collect::<Vec<_>>(),
+        ids.iter().map(|&id| (id, 1)).collect::<Vec<_>>(),
+        "no requeue record was logged by the failed call"
+    );
+
+    // Registry fixed: the retry re-executes every pending instance,
+    // and only then does the latch make further calls no-ops.
+    server.register("g", Arc::clone(&schema));
+    let retried = server.recover_pending().expect("retry re-enqueues");
+    assert_eq!(
+        retried.iter().map(Ticket::instance_id).collect::<Vec<_>>(),
+        ids,
+        "the retry recovers the whole pending set"
+    );
+    assert!(
+        server
+            .recover_pending()
+            .expect("latched call succeeds")
+            .is_empty(),
+        "third recover_pending must re-enqueue nothing"
+    );
+    for ticket in retried {
+        ticket.wait().expect("re-executed instance completes");
+    }
+    drop(server);
+
+    let state = store::inspect(&crashed).expect("post-recovery store opens");
+    assert!(state.pending.is_empty(), "nothing left pending");
+    assert_eq!(
+        state
+            .sealed
+            .iter()
+            .map(|s| (s.instance_id, s.attempt))
+            .collect::<Vec<_>>(),
+        ids.iter().map(|&id| (id, 1)).collect::<Vec<_>>(),
+        "each pending instance sealed exactly one re-execution"
+    );
+    let report = store::fsck(&crashed).expect("fsck scans");
+    assert!(report.ok(), "fsck after recovery:\n{}", report.to_text());
+    let _ = std::fs::remove_dir_all(&crashed);
 }
 
 fn copy_store(from: &Path, to: &Path) {

@@ -3,11 +3,12 @@
 //! (`submitted = completed + late_dropped + abandoned`) and — on the
 //! virtual-time `SimDb` backend — **deterministic per seed**. A small
 //! real-server (`Server` backend) run checks the same identity under
-//! true concurrency, with the pacer reacting to `ServerEvents`
-//! completions and the late drops coming from `Request::deadline`.
+//! true concurrency, with the late drops coming from
+//! `Request::deadline`.
 
 use std::time::Duration;
 
+use decision_flows::decisionflow::server::EngineServer;
 use decision_flows::dflowgen::{generate, GeneratedFlow, PatternParams};
 use decision_flows::dflowperf::{Arrival, LoadReport, Server, SimDb, UnitTime, Workload};
 
@@ -144,11 +145,9 @@ fn overload_workload_accounts_on_all_backends() {
         .seed(0xD0_0D)
         .deadline(Duration::from_secs(60))
         .strategy("PCE100".parse().unwrap())
-        .run(&Server {
-            shards: 2,
-            workers_per_shard: 1,
-            ..Server::default()
-        })
+        .run(&Server(
+            EngineServer::builder().shards(2).workers_per_shard(1),
+        ))
         .expect("server build");
     for r in [&unit, &sim, &server] {
         assert_eq!(r.submitted, 40, "{}", r.backend);
@@ -180,11 +179,9 @@ fn server_tight_deadline_counts_late_drops() {
         .seed(7)
         .deadline(Duration::from_millis(25))
         .strategy("PCE0".parse().unwrap())
-        .run(&Server {
-            shards: 1,
-            workers_per_shard: 1,
-            ..Server::default()
-        })
+        .run(&Server(
+            EngineServer::builder().shards(1).workers_per_shard(1),
+        ))
         .expect("server build");
     assert_eq!(r.submitted, 60);
     assert!(r.accounts_exactly());

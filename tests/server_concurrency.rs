@@ -39,7 +39,8 @@ fn check(record: &ExecutionRecord, schema: &Schema, snap: &CompleteSnapshot) {
 fn generated_flows_on_server_match_oracle() {
     for strat in ["PCE0", "PSE100", "NCC40"] {
         let server = EngineServer::builder()
-            .workers(6)
+            .shards(2)
+            .workers_per_shard(3)
             .strategy(strat.parse().unwrap())
             .build()
             .unwrap();
@@ -68,7 +69,8 @@ fn generated_flows_on_server_match_oracle() {
 fn repeated_submissions_of_one_schema_are_independent() {
     let flow = generate(pattern(32, 60), 9_999).unwrap();
     let server = EngineServer::builder()
-        .workers(4)
+        .shards(2)
+        .workers_per_shard(2)
         .strategy("PSE100".parse().unwrap())
         .build()
         .unwrap();
@@ -105,7 +107,8 @@ fn server_handles_heavier_fanout_than_workers() {
     // still completes correctly.
     let flow = generate(pattern(48, 75), 4_242).unwrap();
     let server = EngineServer::builder()
-        .workers(2)
+        .shards(2)
+        .workers_per_shard(1)
         .strategy("PCE100".parse().unwrap())
         .build()
         .unwrap();

@@ -254,7 +254,7 @@ fn merged_subscriber_sees_exactly_once_per_shard_ordered_events() {
         .build()
         .unwrap();
     server.register("f", Arc::clone(&flow.schema));
-    let events = server.subscribe_with_capacity(1024);
+    let events = server.subscribe();
 
     let n = 64usize;
     let batch = server

@@ -65,11 +65,9 @@ fn workload_report_decomposes_latency_into_stages() {
         .instances(160)
         .warmup(0)
         .strategy("PSE100".parse().unwrap())
-        .run(&Server {
-            shards: 2,
-            workers_per_shard: 2,
-            ..Server::default()
-        })
+        .run(&Server(
+            EngineServer::builder().shards(2).workers_per_shard(2),
+        ))
         .expect("workload run");
     assert_eq!(report.completed, 160);
     let side = report.server.as_ref().expect("server extras");
