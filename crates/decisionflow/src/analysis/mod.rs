@@ -34,11 +34,9 @@
 //!
 //! * [`check`] / [`Schema::analyze`](crate::schema::Schema::analyze) —
 //!   analyze a schema, get a [`Report`];
-//! * [`Request::strict_analysis`](crate::api::Request::strict_analysis)
-//!   and
-//!   [`EngineServer::register_checked`](crate::server::EngineServer::register_checked)
-//!   — opt-in rejection of Error-level schemas at submission or
-//!   registration time;
+//! * [`EngineServer::register_checked`](crate::server::EngineServer::register_checked)
+//!   — rejection of Error-level schemas at registration time, once per
+//!   schema rather than once per request;
 //! * the `dflow-lint` CLI (`crates/corpus`) — lints corpus entries,
 //!   generated pattern matrices, and DSL files, exiting nonzero on
 //!   findings.
@@ -65,7 +63,7 @@ pub enum Severity {
     /// Almost certainly unintended; fails `dflow-lint`.
     Warn,
     /// The schema is broken or a request is infeasible; rejected by
-    /// strict mode.
+    /// checked registration.
     Error,
 }
 
@@ -339,12 +337,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// No findings at all (info included).
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// Any Error-level finding? (What strict mode rejects on.)
+    /// Any Error-level finding? (What checked registration rejects on.)
     pub fn has_errors(&self) -> bool {
         self.worst() == Some(Severity::Error)
     }

@@ -12,7 +12,9 @@
 //!   deadline/label;
 //! * [`run`] / [`Request::run`] — in-process unit-time execution,
 //!   returning a [`RunReport`] whose `journal` is `Some` iff recording
-//!   was requested;
+//!   was requested (it and the server's build job turn the request
+//!   into a runtime through one crate-private function, so an option
+//!   means the same thing on either path);
 //! * [`EngineServer::submit`] / [`EngineServer::submit_many`] — the
 //!   server path, returning [`Ticket`]s with `wait`, `try_wait`,
 //!   `wait_timeout`, and `wait_deadline`; the
@@ -48,12 +50,14 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
-use crate::engine::{unit_exec, ExecError, RuntimeOptions, Strategy, UnitOutcome};
+use crate::engine::{
+    unit_exec, ExecError, InstanceRuntime, RuntimeOptions, RuntimeScratch, Strategy, UnitOutcome,
+};
 use crate::journal::{Journal, JournalWriter, Outputs};
 use crate::schema::{AttrId, Schema};
 use crate::server::{InstanceResult, ServerGone};
 use crate::snapshot::SourceValues;
-use crate::statestore::{DeltaError, InstanceSnapshot};
+use crate::statestore::{plan_delta, DeltaError, InstanceSnapshot};
 use crate::store::WalRecorder;
 use crate::value::Value;
 
@@ -78,49 +82,6 @@ pub(crate) enum RequestTarget {
     /// An inline schema — required for in-process [`run`], and
     /// accepted by the server without a registry lookup.
     Inline(Arc<Schema>),
-}
-
-/// A cloneable, one-shot handle to a streaming-journal sink.
-///
-/// [`Request`] must stay `Clone`, but an [`std::io::Write`] sink is
-/// not:
-/// this wrapper shares the boxed sink behind an `Arc<Mutex<..>>` and
-/// hands it out exactly once — the execution that consumes the
-/// request takes it; a second execution of the same request finds it
-/// gone and fails with [`RequestError::StreamConsumed`] instead of
-/// silently recording nothing.
-#[derive(Clone)]
-pub struct JournalStream {
-    sink: Arc<Mutex<Option<Box<dyn std::io::Write + Send>>>>,
-}
-
-impl JournalStream {
-    /// Wrap a sink for attachment to a [`Request`].
-    pub fn new(sink: impl std::io::Write + Send + 'static) -> JournalStream {
-        JournalStream {
-            sink: Arc::new(Mutex::new(Some(Box::new(sink)))),
-        }
-    }
-
-    /// Hand the sink to the executing engine (first caller wins).
-    pub(crate) fn take(&self) -> Option<Box<dyn std::io::Write + Send>> {
-        self.sink.lock().take()
-    }
-
-    /// Is the sink already gone? Validation peeks here so an
-    /// already-consumed request is rejected *before* any durable
-    /// lifecycle record is logged for it.
-    pub(crate) fn is_consumed(&self) -> bool {
-        self.sink.lock().is_none()
-    }
-}
-
-impl std::fmt::Debug for JournalStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JournalStream")
-            .field("consumed", &self.sink.lock().is_none())
-            .finish_non_exhaustive()
-    }
 }
 
 /// One execution request: what to run, with which inputs, under which
@@ -157,10 +118,8 @@ pub struct Request {
     pub(crate) strategy: Option<Strategy>,
     pub(crate) options: RuntimeOptions,
     pub(crate) record_journal: bool,
-    pub(crate) journal_stream: Option<JournalStream>,
     pub(crate) deadline: Option<Duration>,
     pub(crate) label: Option<String>,
-    pub(crate) strict_analysis: bool,
     pub(crate) durable: bool,
     pub(crate) delta: Option<DeltaSource>,
 }
@@ -173,10 +132,8 @@ impl Request {
             strategy: None,
             options: RuntimeOptions::default(),
             record_journal: false,
-            journal_stream: None,
             deadline: None,
             label: None,
-            strict_analysis: false,
             durable: false,
             delta: None,
         }
@@ -223,40 +180,12 @@ impl Request {
     }
 
     /// Attach the flight recorder: the resulting [`RunReport::journal`]
-    /// / [`InstanceResult::journal`] will be `Some`.
+    /// / [`InstanceResult::journal`] will be `Some`. A tape file is
+    /// that journal's [`write_stream`](Journal::write_stream).
     ///
     /// [`InstanceResult::journal`]: crate::server::InstanceResult::journal
     pub fn record_journal(mut self, record: bool) -> Request {
         self.record_journal = record;
-        self
-    }
-
-    /// Attach the flight recorder in **streaming** mode: frames flush
-    /// to `sink` as they are produced (JSON-lines wire format — see
-    /// [`journal::read_journal`]), so the capture holds O(1) frames in
-    /// memory however long the instance runs. The journal lives on
-    /// the sink — [`RunReport::journal`] / [`InstanceResult::journal`]
-    /// stay `None` — and the trailing footer is written when the
-    /// instance completes, so a reader can always tell a sealed tape
-    /// from a truncated one.
-    ///
-    /// Takes precedence over [`Request::record_journal`] when both
-    /// are set. The sink is consumed by the first execution of this
-    /// request; running the same request again fails with
-    /// [`RequestError::StreamConsumed`]. A request *rejected up
-    /// front* (unknown schema, invalid sources) does **not** consume
-    /// the sink — fix the request and resubmit. One caveat: in an
-    /// all-or-nothing [`submit_many`] batch, a request whose
-    /// validation already passed loses its sink when a *later*
-    /// request aborts the batch (capture had begun; the sink holds an
-    /// unsealed tape that readers reject).
-    ///
-    /// [`submit_many`]: crate::server::EngineServer::submit_many
-    ///
-    /// [`journal::read_journal`]: crate::journal::read_journal
-    /// [`InstanceResult::journal`]: crate::server::InstanceResult::journal
-    pub fn stream_journal(mut self, sink: impl std::io::Write + Send + 'static) -> Request {
-        self.journal_stream = Some(JournalStream::new(sink));
         self
     }
 
@@ -279,22 +208,6 @@ impl Request {
     /// [`InstanceResult::label`]: crate::server::InstanceResult::label
     pub fn label(mut self, label: impl Into<String>) -> Request {
         self.label = Some(label.into());
-        self
-    }
-
-    /// Opt in to **strict static analysis**: before execution the
-    /// schema is run through [`crate::analysis::check`], and any
-    /// Error-level finding (e.g. DF001 on a target — the flow can
-    /// never produce what it is asked for) rejects the request with
-    /// [`RequestError::Analysis`] / `SubmitError::Analysis` instead of
-    /// running it. A rejected request does not consume a streaming
-    /// journal sink. Off by default: analysis walks the whole schema,
-    /// which is wasted work when the caller already linted it (e.g.
-    /// via [`EngineServer::register_checked`]).
-    ///
-    /// [`EngineServer::register_checked`]: crate::server::EngineServer::register_checked
-    pub fn strict_analysis(mut self, strict: bool) -> Request {
-        self.strict_analysis = strict;
         self
     }
 
@@ -342,8 +255,9 @@ impl Request {
     /// snapshot is a function of the sources — it just skips the work
     /// of re-deriving it.
     ///
-    /// The snapshot must come from the same schema (checked by
-    /// fingerprint; mismatch rejects with [`RequestError::Delta`]).
+    /// The snapshot must come from the same schema value — the same
+    /// structure *and* the same task bodies; anything else rejects
+    /// with [`RequestError::Delta`].
     /// Works both in-process ([`run`]) and on the server. See
     /// [`crate::statestore`] for the snapshot lifecycle.
     pub fn delta(mut self, prior: Arc<InstanceSnapshot>) -> Request {
@@ -355,7 +269,8 @@ impl Request {
     /// snapshot from its state store under (schema fingerprint,
     /// [`Request::label`]) — the snapshot a previous completion of the
     /// same labeled request committed. A lookup miss (nothing
-    /// committed yet, or the entry was invalidated) falls back to a
+    /// committed yet, the entry was invalidated, or the label was last
+    /// used by another flow of the same structure) falls back to a
     /// cold run rather than failing, so the first submission of a
     /// label works unchanged. Server-only: in-process [`run`] has no
     /// store and rejects with [`RequestError::DeltaLabelInProcess`].
@@ -426,12 +341,6 @@ pub enum RequestError {
     /// In-process runs have no server default to fall back on; set
     /// [`Request::strategy`].
     MissingStrategy,
-    /// The request's [`stream_journal`](Request::stream_journal) sink
-    /// was already consumed by an earlier execution of this request.
-    StreamConsumed,
-    /// [`Request::strict_analysis`] was set and the static analyzer
-    /// found Error-level defects in the schema (the carried findings).
-    Analysis(Vec<crate::analysis::Finding>),
     /// A delta resubmission could not be planned against its prior
     /// snapshot (e.g. the snapshot belongs to a different schema).
     Delta(DeltaError),
@@ -453,22 +362,6 @@ impl std::fmt::Display for RequestError {
                 f,
                 "in-process runs have no server default strategy; set Request::strategy"
             ),
-            RequestError::StreamConsumed => write!(
-                f,
-                "the request's journal-stream sink was already consumed by an earlier \
-                 execution; attach a fresh sink with Request::stream_journal"
-            ),
-            RequestError::Analysis(findings) => {
-                write!(
-                    f,
-                    "strict analysis rejected the schema with {} error-level finding(s):",
-                    findings.len()
-                )?;
-                for finding in findings {
-                    write!(f, "\n  {finding}")?;
-                }
-                Ok(())
-            }
             RequestError::Delta(e) => write!(f, "delta resubmission rejected: {e}"),
             RequestError::DeltaLabelInProcess => write!(
                 f,
@@ -503,34 +396,49 @@ impl std::fmt::Debug for RunReport {
     }
 }
 
-/// The flight recorder `request` asks for, over an instance of `schema`
-/// under `strategy` — the one place the journaling options turn into
-/// outputs: a streaming sink (taken here, once; it takes precedence) or
-/// else an in-memory capture, plus `wal`, the write-ahead output the
-/// server supplies for a durable request. `None` when the request asks
-/// for no output at all. Callers validate first: a rejected request
-/// must not consume its sink.
-pub(crate) fn recorder_for(
+/// The one place a [`Request`] becomes an [`InstanceRuntime`], for
+/// in-process [`run`] and the server's build job alike. The callers
+/// resolve what only they can — `schema` from the request or the
+/// registry, `strategy` with the server default applied, the `prior`
+/// snapshot a delta request names or the state store holds under its
+/// label, and `wal`, the write-ahead output of a durable request —
+/// and this plans the delta, attaches the recorder the journaling
+/// options ask for (memory, WAL, both or none) and builds the runtime
+/// into `scratch`, with nothing started.
+pub(crate) fn build_runtime(
     request: &Request,
-    schema: &Schema,
+    schema: &Arc<Schema>,
     strategy: Strategy,
+    prior: Option<&InstanceSnapshot>,
     wal: Option<WalRecorder>,
-) -> Result<Option<JournalWriter>, RequestError> {
-    let tape = match &request.journal_stream {
-        Some(stream) => Some(stream.take().ok_or(RequestError::StreamConsumed)?),
-        None => None,
-    };
-    let memory = request.record_journal && tape.is_none();
-    if !memory && tape.is_none() && wal.is_none() {
-        return Ok(None);
-    }
-    Ok(Some(JournalWriter::with_outputs(
-        schema,
+    scratch: RuntimeScratch,
+) -> Result<InstanceRuntime, ExecError> {
+    let plan = prior
+        .map(|prior| plan_delta(schema, prior, &request.sources))
+        .transpose()
+        .map_err(|e| ExecError::Request(RequestError::Delta(e)))?;
+    let retained = plan.as_ref().map_or(&[][..], |p| p.retained.as_slice());
+    let recorder = (request.record_journal || wal.is_some()).then(|| {
+        JournalWriter::with_outputs(
+            schema,
+            strategy,
+            &request.sources,
+            request.options.disable_backward,
+            Outputs {
+                memory: request.record_journal,
+                wal,
+            },
+        )
+    });
+    Ok(InstanceRuntime::with_options_retained(
+        Arc::clone(schema),
         strategy,
         &request.sources,
-        request.options.disable_backward,
-        Outputs { memory, tape, wal },
-    )))
+        retained,
+        request.options,
+        recorder,
+        scratch,
+    )?)
 }
 
 /// Execute a request in-process under the infinite-resource unit-time
@@ -546,40 +454,22 @@ pub fn run(request: &Request) -> Result<RunReport, ExecError> {
     let strategy = request
         .strategy
         .ok_or(ExecError::Request(RequestError::MissingStrategy))?;
-    // Strict analysis and source validation both run *before* taking a
-    // one-shot streaming sink: a rejected request must not consume the
-    // sink (the caller fixes the request and runs it again).
-    if request.strict_analysis {
-        let report = crate::analysis::check(schema);
-        if report.has_errors() {
-            return Err(ExecError::Request(RequestError::Analysis(
-                report.errors().cloned().collect(),
-            )));
-        }
-    }
-    request.sources.validate(schema)?;
-    // Delta planning also precedes sink consumption: a rejected delta
-    // (schema mismatch, label mode) must leave the sink reusable.
-    let plan = match &request.delta {
+    let prior = match &request.delta {
         None => None,
+        Some(DeltaSource::Prior(prior)) => Some(prior.as_ref()),
         Some(DeltaSource::Label) => {
             return Err(ExecError::Request(RequestError::DeltaLabelInProcess))
         }
-        Some(DeltaSource::Prior(prior)) => Some(
-            crate::statestore::plan_delta(schema, prior, &request.sources)
-                .map_err(|e| ExecError::Request(RequestError::Delta(e)))?,
-        ),
     };
-    let retained = plan.as_ref().map_or(&[][..], |p| p.retained.as_slice());
-    let recorder = recorder_for(request, schema, strategy, None).map_err(ExecError::Request)?;
-    let (outcome, journal) = unit_exec::execute(
+    let runtime = build_runtime(
+        request,
         schema,
         strategy,
-        &request.sources,
-        retained,
-        request.options,
-        recorder,
+        prior,
+        None,
+        RuntimeScratch::default(),
     )?;
+    let (outcome, journal) = unit_exec::execute(runtime)?;
     Ok(RunReport { outcome, journal })
 }
 
@@ -1250,70 +1140,6 @@ mod tests {
         let journal = recorded.journal.expect("requested journal");
         assert_eq!(journal.strategy, "PCE100");
         assert!(!journal.frames.is_empty());
-    }
-
-    #[test]
-    fn strict_analysis_rejects_dead_target() {
-        // Target gated statically false: the flow can never produce it.
-        let mut b = SchemaBuilder::new();
-        let s = b.source("s");
-        let t = b.synthesis("t", vec![s], Expr::Lit(false), |v| v[0].clone());
-        b.mark_target(t);
-        let schema = Arc::new(b.build().unwrap());
-
-        let req = Request::with_schema(Arc::clone(&schema))
-            .bind(s, 1i64)
-            .strategy("PSE100".parse().unwrap())
-            .strict_analysis(true);
-        let err = req.run().unwrap_err();
-        match err {
-            ExecError::Request(RequestError::Analysis(ref findings)) => {
-                assert!(findings
-                    .iter()
-                    .any(|f| f.code == crate::analysis::Code::DeadAttr
-                        && f.attr.as_deref() == Some("t")));
-                assert!(err.to_string().contains("DF001"));
-            }
-            other => panic!("expected Analysis rejection, got {other:?}"),
-        }
-
-        // Without strict mode the same request executes (the target
-        // stabilizes to ⊥, which is a valid complete snapshot).
-        let report = Request::with_schema(schema)
-            .bind(s, 1i64)
-            .strategy("PSE100".parse().unwrap())
-            .run()
-            .unwrap();
-        assert_eq!(report.outcome.runtime.stable_value(t), Some(&Value::Null));
-    }
-
-    #[test]
-    fn strict_analysis_accepts_clean_schema_and_spares_the_sink() {
-        let (schema, s, t) = tiny_schema();
-        let report = Request::with_schema(Arc::clone(&schema))
-            .bind(s, 3i64)
-            .strategy("PSE100".parse().unwrap())
-            .strict_analysis(true)
-            .run()
-            .unwrap();
-        assert_eq!(report.outcome.runtime.stable_value(t), Some(&Value::Int(3)));
-
-        // A strict rejection must not consume a streaming sink.
-        let mut b = SchemaBuilder::new();
-        let s2 = b.source("s");
-        let t2 = b.synthesis("t", vec![s2], Expr::Lit(false), |v| v[0].clone());
-        b.mark_target(t2);
-        let dead = Arc::new(b.build().unwrap());
-        let req = Request::with_schema(dead)
-            .bind(s2, 1i64)
-            .strategy("PSE100".parse().unwrap())
-            .stream_journal(Vec::new())
-            .strict_analysis(true);
-        assert!(req.run().is_err());
-        assert!(
-            req.journal_stream.as_ref().unwrap().take().is_some(),
-            "sink must survive an up-front rejection"
-        );
     }
 
     #[test]

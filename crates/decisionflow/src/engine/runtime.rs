@@ -45,7 +45,7 @@ use crate::engine::metrics::InstanceMetrics;
 use crate::engine::scheduler;
 use crate::engine::strategy::Strategy;
 use crate::expr::{AttrView, Tri, ValueEnv};
-use crate::journal::{Event, JournalWriter, Sealed};
+use crate::journal::{Event, Journal, JournalWriter};
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{CompleteSnapshot, FinalState, SnapshotError, SourceValues};
 use crate::state::AttrState;
@@ -393,15 +393,14 @@ impl InstanceRuntime {
     /// and sealed ([`JournalWriter::seal`]), so whatever the runtime
     /// does afterwards — speculative stragglers completing past the
     /// delivered result — is journaled nowhere. Drivers seal at the
-    /// point they take the instance's result. Every later call, and
-    /// every call on a runtime that never recorded, hands back an
-    /// empty [`Sealed`].
-    pub(crate) fn seal(&mut self, time: u64, outcome: SealOutcome) -> Sealed {
+    /// point they take the instance's result. Hands back the frozen
+    /// journal when the recorder's memory output was on; every later
+    /// call, and every call on a runtime that never recorded, `None`.
+    pub(crate) fn seal(&mut self, time: u64, outcome: SealOutcome) -> Option<Journal> {
         self.sealed = true;
         self.recorder
             .take()
-            .map(|recorder| recorder.seal(time, outcome))
-            .unwrap_or_default()
+            .and_then(|recorder| recorder.seal(time, outcome))
     }
 
     // ------------------------------------------------------------------

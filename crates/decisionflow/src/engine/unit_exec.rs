@@ -16,12 +16,11 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::engine::metrics::InstanceMetrics;
-use crate::engine::runtime::{InstanceRuntime, RuntimeOptions, RuntimeScratch, Stalled};
+use crate::engine::runtime::{InstanceRuntime, RuntimeOptions, Stalled};
 use crate::engine::strategy::Strategy;
-use crate::journal::{Journal, JournalWriter};
+use crate::journal::Journal;
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{SnapshotError, SourceValues};
-use crate::state::AttrState;
 use crate::store::SealOutcome;
 use crate::value::Value;
 
@@ -51,10 +50,6 @@ pub enum ExecError {
     Stalled(Stalled),
     /// The [`Request`](crate::api::Request) cannot run in-process.
     Request(crate::api::RequestError),
-    /// The streaming journal sink failed. The execution itself
-    /// completed; the flight record on the sink is sealed with no
-    /// footer, so readers reject it as truncated.
-    JournalIo(std::io::Error),
 }
 
 impl std::fmt::Display for ExecError {
@@ -63,7 +58,6 @@ impl std::fmt::Display for ExecError {
             ExecError::Snapshot(e) => write!(f, "{e}"),
             ExecError::Stalled(e) => write!(f, "{e}"),
             ExecError::Request(e) => write!(f, "{e}"),
-            ExecError::JournalIo(e) => write!(f, "journal stream sink failed: {e}"),
         }
     }
 }
@@ -105,39 +99,17 @@ impl Ord for Completion {
 }
 
 /// The one in-process execution path behind every public entry point:
-/// [`run_unit_time`] and [`crate::api::run`] both funnel through
-/// here, so journaling is a `recorder` or none, not a parallel code
-/// path. A non-empty `retained` slice (from
-/// [`plan_delta`](crate::statestore::plan_delta)) splices prior
-/// snapshot values in pre-stabilized — the delta-resubmission path.
-pub(crate) fn execute(
-    schema: &Arc<Schema>,
-    strategy: Strategy,
-    sources: &SourceValues,
-    retained: &[(AttrId, AttrState, Value)],
-    options: RuntimeOptions,
-    recorder: Option<JournalWriter>,
-) -> Result<(UnitOutcome, Option<Journal>), ExecError> {
-    let rt = InstanceRuntime::with_options_retained(
-        Arc::clone(schema),
-        strategy,
-        sources,
-        retained,
-        options,
-        recorder,
-        RuntimeScratch::default(),
-    )?;
-    let mut outcome = drive(schema, rt)?;
+/// [`run_unit_time`] and [`crate::api::run`] both hand their runtime to
+/// this — drive it to completion, then seal it — so journaling is a
+/// recorder inside the runtime or none, not a parallel code path.
+pub(crate) fn execute(rt: InstanceRuntime) -> Result<(UnitOutcome, Option<Journal>), ExecError> {
+    let mut outcome = drive(rt)?;
     // Seal after the stragglers `drive` delivers, so an in-process
-    // journal carries them. A tape's sink error surfaces here; a
-    // streamed journal lives on its sink, not in the report.
-    let sealed = outcome
+    // journal carries them.
+    let journal = outcome
         .runtime
         .seal(outcome.time_units, SealOutcome::Completed);
-    match sealed.tape_error {
-        Some(e) => Err(ExecError::JournalIo(e)),
-        None => Ok((outcome, sealed.journal)),
-    }
+    Ok((outcome, journal))
 }
 
 /// Execute one instance to completion in unit time.
@@ -156,13 +128,15 @@ pub fn run_unit_time_with_options(
     sources: &SourceValues,
     options: RuntimeOptions,
 ) -> Result<UnitOutcome, ExecError> {
-    execute(schema, strategy, sources, &[], options, None).map(|(out, _)| out)
+    let rt = InstanceRuntime::with_options(Arc::clone(schema), strategy, sources, options)?;
+    execute(rt).map(|(out, _)| out)
 }
 
 /// The three-phase loop against the unit-time calendar. The runtime
 /// journals itself — rounds, launches, completions and propagation —
 /// when it carries a recorder.
-fn drive(schema: &Schema, mut rt: InstanceRuntime) -> Result<UnitOutcome, ExecError> {
+fn drive(mut rt: InstanceRuntime) -> Result<UnitOutcome, ExecError> {
+    let schema = Arc::clone(rt.schema());
     let mut calendar: BinaryHeap<Completion> = BinaryHeap::new();
     let mut launches: Vec<(AttrId, Vec<Value>)> = Vec::new();
     let mut now = 0u64;

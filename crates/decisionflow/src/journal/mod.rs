@@ -18,17 +18,17 @@
 //!   so the un-journaled hot path pays one `Option` test per event
 //!   site;
 //! * the recorder stamps each event with the instance's one logical
-//!   clock and hands the same [`Frame`] to each of its three outputs
-//!   the request asked for — memory ([`Request::record_journal`]), an
-//!   `io::Write` tape ([`Request::stream_journal`]: JSON-lines plus a
-//!   trailing footer, O(1) frames in memory, read back by
-//!   [`read_journal`] into a [`Journal`] equal to the memory capture
-//!   byte-for-byte) and the durable store's WAL
-//!   ([`Request::durable`]). **Sealing** — when the driver takes the
-//!   instance's result — freezes the memory journal, writes the tape's
-//!   footer and appends the WAL's `InstanceSealed`, and the runtime
+//!   clock and hands the same [`Frame`] to each of its two outputs the
+//!   request asked for — memory ([`Request::record_journal`]) and the
+//!   durable store's WAL ([`Request::durable`]). **Sealing** — when
+//!   the driver takes the instance's result — freezes the memory
+//!   journal and appends the WAL's `InstanceSealed`, and the runtime
 //!   gives the recorder up, so stragglers landing afterwards are
-//!   missing from every output alike;
+//!   missing from both outputs alike;
+//! * a tape file is a rendering, not an output: [`Journal::write_stream`]
+//!   writes a finished journal as JSON-lines plus a trailing footer,
+//!   and [`read_journal`] reads it back into a [`Journal`] equal to the
+//!   one written, byte-for-byte;
 //! * [`ReplayEngine`] re-runs the instance from the journal alone
 //!   (plus the schema, since task bodies are code), re-deriving every
 //!   engine event and cross-checking it against the recorded stream —
@@ -40,7 +40,6 @@
 //!   silently replayed against the wrong flow.
 //!
 //! [`Request::record_journal`]: crate::api::Request::record_journal
-//! [`Request::stream_journal`]: crate::api::Request::stream_journal
 //! [`Request::durable`]: crate::api::Request::durable
 //!
 //! Capture entry point: a [`Request`] with
@@ -63,9 +62,9 @@ mod writer;
 pub use divergence::{Divergence, DivergenceKind};
 pub use frame::{Clock, Event, Frame};
 pub use replay::{ReplayEngine, ReplayOutcome};
-pub use stream::{read_journal, MemorySink};
+pub use stream::read_journal;
+pub(crate) use writer::Outputs;
 pub use writer::{bind_sources, JournalWriter};
-pub(crate) use writer::{Outputs, Sealed};
 
 use serde::{Deserialize, Serialize};
 

@@ -143,7 +143,7 @@ impl ReplayEngine {
         Ok(ReplayOutcome {
             record: ExecutionRecord::from_runtime(&runtime, self.journal.time),
             // invariant: `drive` attaches a recorder with the memory output on.
-            journal: recaptured.journal.expect("replay records into memory"),
+            journal: recaptured.expect("replay records into memory"),
             frames_verified: verified as usize,
             runtime,
         })

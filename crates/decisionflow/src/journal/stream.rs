@@ -1,11 +1,10 @@
-//! The streaming journal wire format: JSON-lines frames between a
-//! header and a trailing footer.
+//! The journal stream format: JSON-lines frames between a header and
+//! a trailing footer — the form tapes are stored in.
 //!
-//! The in-memory [`Journal`] is a single canonical-JSON document —
-//! fine for short instances, but a long-running capture would buffer
-//! every frame until completion. The stream format lets a writer
-//! flush each frame to an [`io::Write`] sink the moment it is
-//! recorded, holding O(1) frames in memory:
+//! The in-memory [`Journal`] serializes to a single canonical-JSON
+//! document ([`Journal::to_json`]); [`Journal::write_stream`] renders
+//! the same journal one line per frame, which diffs, greps and
+//! truncates legibly:
 //!
 //! ```text
 //! {"version":1,"strategy":"PSE100","disable_backward":false,...}   header
@@ -17,14 +16,15 @@
 //!
 //! Every line is one canonical-JSON document (the serializer escapes
 //! all control characters, so frames never span lines). The footer
-//! doubles as a completeness marker: a crashed or still-running
-//! capture has no footer, and [`read_journal`] reports a truncated
-//! stream instead of silently yielding a partial journal.
+//! doubles as a completeness marker: a file cut short has no footer,
+//! and [`read_journal`] reports a truncated stream instead of silently
+//! yielding a partial journal.
 //!
-//! [`read_journal`] reconstructs a [`Journal`] that is **equal to the
-//! in-memory capture** — and therefore serializes via
-//! [`Journal::to_json`] to the identical bytes. The corpus tooling
-//! (`dflow-corpus`) stores every baseline in this format.
+//! [`read_journal`] reconstructs a [`Journal`] **equal to the one
+//! written** — and therefore serializing via [`Journal::to_json`] to
+//! the identical bytes. The corpus tooling (`dflow-corpus`) stores
+//! every baseline in this format, and `dflow-store replay --tape`
+//! writes it from a journal rebuilt out of the WAL.
 
 use std::io::{self, BufRead, Write};
 
@@ -53,91 +53,27 @@ struct StreamFooter {
     time: u64,
 }
 
-/// Write the header line.
-pub(crate) fn write_header(
-    w: &mut dyn Write,
-    strategy: &str,
-    disable_backward: bool,
-    schema_fingerprint: u64,
-    sources: &[(String, Value)],
-) -> io::Result<()> {
-    let header = StreamHeader {
-        version: SCHEMA_VERSION,
-        strategy: strategy.to_string(),
-        disable_backward,
-        schema_fingerprint,
-        sources: sources.to_vec(),
-    };
-    writeln!(w, "{}", serde::json::to_string(&header))
-}
-
-/// Write one frame line.
-pub(crate) fn write_frame(w: &mut dyn Write, frame: &Frame) -> io::Result<()> {
-    writeln!(w, "{}", serde::json::to_string(frame))
-}
-
-/// Write the footer line.
-pub(crate) fn write_footer(w: &mut dyn Write, frames: u64, time: u64) -> io::Result<()> {
-    writeln!(
-        w,
-        "{}",
-        serde::json::to_string(&StreamFooter { frames, time })
-    )
-}
-
 impl Journal {
-    /// Write this journal in the streaming wire format. Useful for
-    /// converting a buffered capture (e.g. a server-side
-    /// [`InstanceResult::journal`]) into the corpus/storage format;
-    /// live captures stream directly via
-    /// [`Request::stream_journal`](crate::api::Request::stream_journal).
-    ///
-    /// [`InstanceResult::journal`]: crate::server::InstanceResult::journal
+    /// Write this journal in the stream format: header line, one line
+    /// per frame, footer line. A tape file is
+    /// `report.journal.unwrap().write_stream(&mut file)`.
     pub fn write_stream(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_header(
-            w,
-            &self.strategy,
-            self.disable_backward,
-            self.schema_fingerprint,
-            &self.sources,
-        )?;
+        let header = StreamHeader {
+            version: SCHEMA_VERSION,
+            strategy: self.strategy.clone(),
+            disable_backward: self.disable_backward,
+            schema_fingerprint: self.schema_fingerprint,
+            sources: self.sources.clone(),
+        };
+        writeln!(w, "{}", serde::json::to_string(&header))?;
         for frame in &self.frames {
-            write_frame(w, frame)?;
+            writeln!(w, "{}", serde::json::to_string(frame))?;
         }
-        write_footer(w, self.frames.len() as u64, self.time)
-    }
-}
-
-/// A cloneable in-memory sink for [`Request::stream_journal`]: every
-/// clone appends to the same shared buffer, so one handle goes into
-/// the request while another reads the captured bytes back. Useful
-/// for tests and for callers that want the stream format without a
-/// file.
-///
-/// [`Request::stream_journal`]: crate::api::Request::stream_journal
-#[derive(Clone, Debug, Default)]
-pub struct MemorySink(std::sync::Arc<parking_lot::Mutex<Vec<u8>>>);
-
-impl MemorySink {
-    /// A fresh, empty sink.
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-
-    /// Copy of everything written so far.
-    pub fn bytes(&self) -> Vec<u8> {
-        self.0.lock().clone()
-    }
-}
-
-impl Write for MemorySink {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
+        let footer = StreamFooter {
+            frames: self.frames.len() as u64,
+            time: self.time,
+        };
+        writeln!(w, "{}", serde::json::to_string(&footer))
     }
 }
 
@@ -284,10 +220,8 @@ mod tests {
     use super::*;
     use crate::api::Request;
     use crate::expr::{CmpOp, Expr};
-    use crate::journal::{JournalWriter, Outputs};
     use crate::schema::{Schema, SchemaBuilder};
     use crate::snapshot::SourceValues;
-    use crate::store::SealOutcome;
     use crate::task::Task;
 
     /// A sink that fails after `ok_writes` successful writes.
@@ -330,35 +264,26 @@ mod tests {
         (schema, sv)
     }
 
-    fn run_both(schema: &Arc<Schema>, sv: &SourceValues, strategy: &str) -> (Journal, Vec<u8>) {
-        let strategy: crate::engine::Strategy = strategy.parse().unwrap();
-        let buffered = Request::with_schema(Arc::clone(schema))
+    /// One buffered capture and its stream rendering.
+    fn captured(schema: &Arc<Schema>, sv: &SourceValues, strategy: &str) -> (Journal, Vec<u8>) {
+        let journal = Request::with_schema(Arc::clone(schema))
             .sources(sv.clone())
-            .strategy(strategy)
+            .strategy(strategy.parse().unwrap())
             .record_journal(true)
             .run()
             .unwrap()
             .journal
             .expect("buffered journal");
-        let buf = MemorySink::new();
-        let report = Request::with_schema(Arc::clone(schema))
-            .sources(sv.clone())
-            .strategy(strategy)
-            .stream_journal(buf.clone())
-            .run()
-            .unwrap();
-        assert!(
-            report.journal.is_none(),
-            "streamed journal lives on the sink"
-        );
-        (buffered, buf.bytes())
+        let mut bytes = Vec::new();
+        journal.write_stream(&mut bytes).unwrap();
+        (journal, bytes)
     }
 
     #[test]
     fn stream_roundtrips_byte_identical_to_buffered_capture() {
         let (schema, sv) = fixture();
         for strategy in ["PCE0", "PSE100", "NCE50"] {
-            let (buffered, bytes) = run_both(&schema, &sv, strategy);
+            let (buffered, bytes) = captured(&schema, &sv, strategy);
             let streamed = read_journal(&bytes[..]).expect("sealed stream parses");
             assert_eq!(streamed, buffered, "{strategy}");
             assert_eq!(
@@ -369,57 +294,50 @@ mod tests {
         }
     }
 
+    /// The stream is what a recorder appending one line per event as
+    /// it happened would have written: header, each frame's canonical
+    /// JSON on its own line, footer with the count and the time.
     #[test]
     fn write_stream_of_buffered_journal_equals_live_stream() {
         let (schema, sv) = fixture();
-        let (buffered, bytes) = run_both(&schema, &sv, "PSE100");
-        let mut rewritten = Vec::new();
-        buffered.write_stream(&mut rewritten).unwrap();
-        assert_eq!(rewritten, bytes, "both stream producers agree on bytes");
-    }
-
-    #[test]
-    fn streaming_writer_buffers_no_frames() {
-        let (schema, sv) = fixture();
-        let buf = MemorySink::new();
-        let mut w = JournalWriter::with_outputs(
-            &schema,
-            "PSE100".parse().unwrap(),
-            &sv,
-            false,
-            Outputs {
-                tape: Some(Box::new(buf.clone())),
-                ..Outputs::default()
-            },
-        );
-        for i in 0..100u64 {
-            w.record(crate::journal::Event::Launch {
-                attr: crate::schema::AttrId::from_index(0),
-                cost: i,
-            });
-            assert!(w.frames().is_empty(), "the tape output must not buffer");
+        let (buffered, bytes) = captured(&schema, &sv, "PSE100");
+        let text = String::from_utf8(bytes).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), buffered.frames.len() + 2);
+        assert!(text.ends_with('\n'), "every line is terminated");
+        assert!(lines[0].starts_with(&format!("{{\"version\":{SCHEMA_VERSION},")));
+        for (line, frame) in lines[1..].iter().zip(&buffered.frames) {
+            assert_eq!(*line, serde::json::to_string(frame));
         }
-        let sealed = w.seal(7, SealOutcome::Completed);
-        assert!(sealed.journal.is_none() && sealed.tape_error.is_none());
-        let journal = read_journal(&buf.bytes()[..]).unwrap();
-        assert_eq!(journal.frames.len(), 100);
-        assert_eq!(journal.time, 7);
+        assert_eq!(
+            *lines.last().unwrap(),
+            format!(
+                "{{\"frames\":{},\"time\":{}}}",
+                buffered.frames.len(),
+                buffered.time
+            )
+        );
     }
 
     #[test]
     fn unsealed_or_truncated_stream_is_rejected() {
         let (schema, sv) = fixture();
-        let (_, bytes) = run_both(&schema, &sv, "PSE100");
+        let (_, bytes) = captured(&schema, &sv, "PSE100");
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines.len() >= 3, "header + frames + footer");
 
-        // No footer: the capture never sealed.
-        let unsealed = lines[..lines.len() - 1].join("\n");
-        assert!(matches!(
-            read_journal(unsealed.as_bytes()),
-            Err(JournalError::Malformed(m)) if m.contains("footer")
-        ));
+        // Cut after any line but the last: no footer, never a journal.
+        for keep in 1..lines.len() {
+            let cut = lines[..keep].join("\n");
+            assert!(
+                matches!(
+                    read_journal(cut.as_bytes()),
+                    Err(JournalError::Malformed(m)) if m.contains("footer")
+                ),
+                "cut after line {keep}"
+            );
+        }
 
         // Footer present but frames missing: count mismatch.
         let mut dropped: Vec<&str> = lines.clone();
@@ -449,13 +367,9 @@ mod tests {
     #[test]
     fn version_check_runs_before_anything_else() {
         let (schema, sv) = fixture();
-        let (buffered, _) = run_both(&schema, &sv, "PCE0");
-        let mut tampered = buffered;
-        tampered.version = SCHEMA_VERSION + 9;
-        let mut bytes = Vec::new();
-        tampered.write_stream(&mut bytes).unwrap();
-        // write_stream emits whatever version the journal carries; the
-        // reader must refuse it up front.
+        let (_, bytes) = captured(&schema, &sv, "PCE0");
+        // A tape from another format version: the reader must refuse
+        // it on the header, before it interprets anything else.
         let text = String::from_utf8(bytes).unwrap();
         let text = text.replacen(
             &format!("\"version\":{SCHEMA_VERSION}"),
@@ -471,7 +385,7 @@ mod tests {
 
     #[test]
     fn empty_instance_stream_has_header_and_footer_only() {
-        // Target disabled at init: zero frames, but the stream is
+        // Target disabled at init: no driver events, but the stream is
         // still a complete, sealed tape.
         let mut b = SchemaBuilder::new();
         let s = b.source("s");
@@ -485,74 +399,38 @@ mod tests {
         let schema = Arc::new(b.build().unwrap());
         let mut sv = SourceValues::new();
         sv.set(s, 3i64);
-        let buf = MemorySink::new();
-        Request::with_schema(Arc::clone(&schema))
-            .sources(sv)
-            .strategy("PCE100".parse().unwrap())
-            .stream_journal(buf.clone())
-            .run()
-            .unwrap();
-        let bytes = buf.bytes();
-        let journal = read_journal(&bytes[..]).unwrap();
+        let (journal, bytes) = captured(&schema, &sv, "PCE100");
         assert!(journal.frames.iter().all(|f| !f.event.is_driver_event()));
+        assert_eq!(read_journal(&bytes[..]).unwrap(), journal);
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.lines().count() >= 2, "header + footer always present");
+
+        // No frames at all: exactly the two lines.
+        let bare = Journal {
+            frames: Vec::new(),
+            ..journal
+        };
+        let mut bytes = Vec::new();
+        bare.write_stream(&mut bytes).unwrap();
+        assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 2);
+        assert_eq!(read_journal(&bytes[..]).unwrap(), bare);
     }
 
+    /// A run never touches a sink — the capture is in memory — so a
+    /// sink can only fail when the finished journal is written to it,
+    /// and then `write_stream` hands the error back.
     #[test]
     fn sink_errors_surface_at_finish_not_on_the_hot_path() {
         let (schema, sv) = fixture();
-        // One successful write (the header), then the sink dies; the
-        // recording itself must not panic, the seal reports the error,
-        // and the memory output beside the dead tape is undisturbed.
-        let mut w = JournalWriter::with_outputs(
-            &schema,
-            "PSE100".parse().unwrap(),
-            &sv,
-            false,
-            Outputs {
-                memory: true,
-                tape: Some(Box::new(FlakySink { ok_writes: 1 })),
-                wal: None,
-            },
-        );
-        for _ in 0..5 {
-            w.record(crate::journal::Event::Unneeded {
-                attr: crate::schema::AttrId::from_index(0),
-            });
-        }
-        let sealed = w.seal(0, SealOutcome::Completed);
-        let err = sealed.tape_error.expect("the latched sink error");
-        assert!(err.to_string().contains("sink full"));
-        let clocks: Vec<u64> = sealed
-            .journal
-            .unwrap()
-            .frames
-            .iter()
-            .map(|f| f.clock)
-            .collect();
-        assert_eq!(clocks, [0, 1, 2, 3, 4], "memory output is complete");
-
-        // And through the request API the run fails with JournalIo.
-        let err = Request::with_schema(Arc::clone(&schema))
-            .sources(sv.clone())
-            .strategy("PSE100".parse().unwrap())
-            .stream_journal(FlakySink { ok_writes: 0 })
-            .run()
+        let (journal, bytes) = captured(&schema, &sv, "PSE100");
+        // The header goes out, then the sink dies.
+        let err = journal
+            .write_stream(&mut FlakySink { ok_writes: 1 })
             .unwrap_err();
-        assert!(matches!(err, crate::engine::ExecError::JournalIo(_)));
-
-        // A request rejected before execution (missing sources) keeps
-        // its one-shot sink, so the corrected request records.
-        let buf = MemorySink::new();
-        let rejected = Request::with_schema(Arc::clone(&schema))
-            .strategy("PSE100".parse().unwrap())
-            .stream_journal(buf.clone());
-        assert!(matches!(
-            rejected.run().unwrap_err(),
-            crate::engine::ExecError::Snapshot(_)
-        ));
-        rejected.sources(sv).run().expect("sink preserved");
-        assert!(read_journal(&buf.bytes()[..]).is_ok());
+        assert!(err.to_string().contains("sink full"));
+        // The journal is undisturbed: a healthy sink gets every byte.
+        let mut again = Vec::new();
+        journal.write_stream(&mut again).unwrap();
+        assert_eq!(again, bytes);
     }
 }

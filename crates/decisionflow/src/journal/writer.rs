@@ -10,26 +10,18 @@
 //!
 //! * **memory** — frames accumulate and [`seal`](JournalWriter::seal)
 //!   freezes them into a [`Journal`];
-//! * **tape** — each frame is serialized to an [`io::Write`] sink the
-//!   moment it is recorded (the wire format of
-//!   [`crate::journal::stream`]), so the capture holds O(1) frames
-//!   however long the instance runs, and seal writes the footer;
-//!   [`read_journal`](crate::journal::read_journal) reconstructs a
-//!   `Journal` equal to what the memory output would have held;
 //! * **WAL** — each frame is appended to the instance's
 //!   [`EventStore`](crate::store::EventStore) lane, and seal appends
 //!   its `InstanceSealed` record.
 //!
 //! Sealing consumes the writer: the runtime gives its recorder up when
 //! the instance's result is delivered, so late speculative stragglers
-//! emit into nothing — on every output alike, which is what keeps a
+//! emit into nothing — on both outputs alike, which is what keeps a
 //! journal rebuilt from the WAL byte-equal to the one captured live.
-
-use std::io;
 
 use crate::engine::strategy::Strategy;
 use crate::journal::frame::{Clock, Event, Frame};
-use crate::journal::{schema_fingerprint, stream, Journal, SCHEMA_VERSION};
+use crate::journal::{schema_fingerprint, Journal, SCHEMA_VERSION};
 use crate::schema::Schema;
 use crate::snapshot::SourceValues;
 use crate::store::{SealOutcome, WalRecorder};
@@ -51,41 +43,11 @@ pub fn bind_sources(schema: &Schema, sources: &SourceValues) -> Vec<(String, Val
     bound
 }
 
-/// The tape output: the sink plus the first IO error it reported. IO
-/// errors never reach the engine hot path — the first one is latched,
-/// later lines are skipped, and it surfaces from
-/// [`JournalWriter::seal`].
-struct Tape {
-    sink: Box<dyn io::Write + Send>,
-    error: Option<io::Error>,
-}
-
-impl Tape {
-    fn put(&mut self, line: impl FnOnce(&mut dyn io::Write) -> io::Result<()>) {
-        if self.error.is_none() {
-            self.error = line(&mut self.sink).err();
-        }
-    }
-}
-
-/// What sealing a recording hands back.
-#[derive(Default)]
-pub(crate) struct Sealed {
-    /// The frozen journal, when the memory output was on.
-    pub journal: Option<Journal>,
-    /// The first IO error the tape's sink reported at any point of the
-    /// capture. The tape then has no footer, so readers reject it as
-    /// truncated; the other outputs are complete regardless.
-    pub tape_error: Option<io::Error>,
-}
-
-/// Where a recording goes; any subset, none by default.
+/// Where a recording goes; either, both or — by default — neither.
 #[derive(Default)]
 pub(crate) struct Outputs {
     /// Buffer the frames, to be frozen into a [`Journal`] at seal.
     pub memory: bool,
-    /// Stream header, frames and footer to this sink.
-    pub tape: Option<Box<dyn io::Write + Send>>,
     /// Append the frames to this store lane (whose acceptance record
     /// the caller has already appended).
     pub wal: Option<WalRecorder>,
@@ -98,7 +60,6 @@ pub struct JournalWriter {
     /// Next clock value (= number of frames recorded).
     clock: Clock,
     memory: bool,
-    tape: Option<Tape>,
     wal: Option<WalRecorder>,
 }
 
@@ -116,49 +77,34 @@ impl JournalWriter {
         JournalWriter::with_outputs(schema, strategy, sources, false, memory)
     }
 
-    /// Start a journal with an explicit set of [`Outputs`] (the tape's
-    /// header line goes out here). `disable_backward` is the ablation
-    /// option the instance runs with; it is part of the header.
+    /// Start a journal with an explicit set of [`Outputs`].
+    /// `disable_backward` is the ablation option the instance runs
+    /// with; it is part of the header.
     pub(crate) fn with_outputs(
         schema: &Schema,
         strategy: Strategy,
         sources: &SourceValues,
         disable_backward: bool,
-        Outputs { memory, tape, wal }: Outputs,
+        Outputs { memory, wal }: Outputs,
     ) -> JournalWriter {
-        let journal = Journal {
-            version: SCHEMA_VERSION,
-            strategy: strategy.to_string(),
-            disable_backward,
-            schema_fingerprint: schema_fingerprint(schema),
-            sources: bind_sources(schema, sources),
-            time: 0,
-            frames: Vec::new(),
-        };
-        let tape = tape.map(|sink| {
-            let mut tape = Tape { sink, error: None };
-            tape.put(|w| {
-                stream::write_header(
-                    w,
-                    &journal.strategy,
-                    journal.disable_backward,
-                    journal.schema_fingerprint,
-                    &journal.sources,
-                )
-            });
-            tape
-        });
         JournalWriter {
-            journal,
+            journal: Journal {
+                version: SCHEMA_VERSION,
+                strategy: strategy.to_string(),
+                disable_backward,
+                schema_fingerprint: schema_fingerprint(schema),
+                sources: bind_sources(schema, sources),
+                time: 0,
+                frames: Vec::new(),
+            },
             clock: 0,
             memory,
-            tape,
             wal,
         }
     }
 
     /// Frames held by the memory output so far (always empty without
-    /// it — the frames are on the tape or in the WAL).
+    /// it — the frames are in the WAL).
     pub fn frames(&self) -> &[Frame] {
         &self.journal.frames
     }
@@ -170,16 +116,13 @@ impl JournalWriter {
     }
 
     /// Record one event: stamp it with the next clock value and hand
-    /// the frame to every output.
+    /// the frame to each output.
     pub fn record(&mut self, event: Event) {
         let frame = Frame {
             clock: self.clock,
             event,
         };
         self.clock += 1;
-        if let Some(tape) = &mut self.tape {
-            tape.put(|w| stream::write_frame(w, &frame));
-        }
         match (&self.wal, self.memory) {
             (Some(wal), true) => {
                 wal.frame(frame.clone());
@@ -191,25 +134,17 @@ impl JournalWriter {
         }
     }
 
-    /// Seal the recording: freeze the memory output into a [`Journal`]
+    /// Seal the recording: append the WAL's `InstanceSealed { outcome }`
+    /// and freeze the memory output, if it was on, into a [`Journal`]
     /// stamped with the driver-reported response time (`time` is in
     /// the driver's unit — processing units for the unit-time
-    /// executor, 0 for the server), write the tape's footer and flush
-    /// its sink, and append the WAL's `InstanceSealed { outcome }`.
-    pub(crate) fn seal(mut self, time: u64, outcome: SealOutcome) -> Sealed {
-        let tape_error = self.tape.and_then(|mut tape| {
-            tape.put(|w| stream::write_footer(w, self.clock, time));
-            tape.put(|w| w.flush());
-            tape.error
-        });
+    /// executor, 0 for the server).
+    pub(crate) fn seal(mut self, time: u64, outcome: SealOutcome) -> Option<Journal> {
         if let Some(wal) = &self.wal {
             wal.seal(outcome);
         }
         self.journal.time = time;
-        Sealed {
-            journal: self.memory.then_some(self.journal),
-            tape_error,
-        }
+        self.memory.then_some(self.journal)
     }
 }
 
@@ -220,14 +155,13 @@ mod tests {
     use super::*;
     use crate::engine::{InstanceRuntime, RuntimeOptions, RuntimeScratch};
     use crate::expr::Expr;
-    use crate::journal::{read_journal, MemorySink};
     use crate::schema::SchemaBuilder;
     use crate::store::{EventStore, PersistedRequest, StoreEvent};
     use crate::task::Task;
 
-    /// One recorder, all three outputs, driven through the runtime
-    /// that owns it: what is recorded before the seal is on every
-    /// output with the same clocks, what happens after it on none.
+    /// One recorder, both outputs, driven through the runtime that
+    /// owns it: what is recorded before the seal is on each output
+    /// with the same clocks, what happens after it on neither.
     #[test]
     fn recorder_outputs_agree_and_seal_once() {
         // Naive mode never prunes, so `extra` (and `tail` behind it)
@@ -269,7 +203,6 @@ mod tests {
         store
             .append(0, StoreEvent::RequestAccepted { request: accepted })
             .unwrap();
-        let tape = MemorySink::new();
         let recorder = JournalWriter::with_outputs(
             &schema,
             strategy,
@@ -277,7 +210,6 @@ mod tests {
             false,
             Outputs {
                 memory: true,
-                tape: Some(Box::new(tape.clone())),
                 wal: Some(WalRecorder::new(Arc::clone(&store), 0, 3, 0)),
             },
         );
@@ -300,8 +232,7 @@ mod tests {
         assert!(rt.is_complete() && !rt.is_sealed());
         let sealed = rt.seal(0, SealOutcome::Completed);
         assert!(rt.is_sealed() && !rt.recording());
-        assert!(sealed.tape_error.is_none());
-        let memory = sealed.journal.expect("the memory output");
+        let memory = sealed.expect("the memory output");
         for (i, f) in memory.frames.iter().enumerate() {
             assert_eq!(f.clock, i as Clock, "clocks dense from 0");
         }
@@ -313,10 +244,8 @@ mod tests {
         rt.round(&mut launches);
         assert!(!launches.is_empty(), "`tail` launched after the seal");
         // The second seal finds nothing left to seal.
-        let again = rt.seal(9, SealOutcome::Abandoned);
-        assert!(again.journal.is_none() && again.tape_error.is_none());
+        assert!(rt.seal(9, SealOutcome::Abandoned).is_none());
 
-        assert_eq!(read_journal(&tape.bytes()[..]).unwrap(), memory);
         assert_eq!(store.fetch_journal(3).unwrap(), memory);
         let report = store.fsck().unwrap();
         assert!(report.ok(), "{}", report.to_text());

@@ -118,8 +118,7 @@ pub mod prelude {
         TargetEnvelope,
     };
     pub use crate::api::{
-        InstanceEvent, JournalStream, LiveInstance, Request, RequestError, RunReport, ServerEvents,
-        Ticket,
+        InstanceEvent, LiveInstance, Request, RequestError, RunReport, ServerEvents, Ticket,
     };
     pub use crate::dsl::{parse_schema, DslError, ExternRegistry};
     pub use crate::engine::{

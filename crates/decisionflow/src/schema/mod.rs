@@ -91,9 +91,21 @@ pub struct Schema {
     /// serializes every enabling condition, so flows that are never
     /// served, journaled or snapshotted never pay for it.
     fingerprint: OnceLock<u64>,
+    /// Process-unique identity of this schema value, stamped at its one
+    /// construction site. The fingerprint cannot see task bodies, so
+    /// two flows that differ only in a constant or a closure share it;
+    /// whatever caches task *results* — the server's memo table, the
+    /// snapshots delta resubmission splices from — is keyed by this.
+    identity: u64,
 }
 
 impl Schema {
+    /// This schema value's process-unique identity: equal exactly when
+    /// the task bodies are the same objects.
+    pub(crate) fn identity(&self) -> u64 {
+        self.identity
+    }
+
     /// The cached structural fingerprint, running `compute` the first
     /// time it is asked for.
     pub(crate) fn fingerprint_or_init(&self, compute: impl FnOnce() -> u64) -> u64 {

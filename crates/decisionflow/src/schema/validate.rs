@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::{AttrDef, AttrId, Schema};
 use crate::expr::Expr;
@@ -93,6 +94,9 @@ impl fmt::Display for SchemaError {
 }
 
 impl std::error::Error for SchemaError {}
+
+/// Source of [`Schema::identity`]: one draw per built schema.
+static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(1);
 
 pub(super) fn build(attrs: Vec<AttrDef>) -> Result<Schema, SchemaError> {
     if attrs.is_empty() {
@@ -219,6 +223,7 @@ pub(super) fn build(attrs: Vec<AttrDef>) -> Result<Schema, SchemaError> {
         enabling_consumers,
         edge_count,
         fingerprint: std::sync::OnceLock::new(),
+        identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
     })
 }
 

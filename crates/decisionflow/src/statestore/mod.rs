@@ -17,11 +17,14 @@
 //!    re-executes only that cone — every out-of-cone attribute is
 //!    spliced back in pre-stabilized
 //!    ([`InstanceRuntime::with_options_retained`]), journaled as an
-//!    explicit `Retained` frame prefix.
+//!    explicit `Retained` frame prefix. A snapshot splices only into
+//!    the schema *value* it was captured from: the fingerprint cannot
+//!    see task bodies, so a structurally identical flow built with
+//!    another constant plans no delta against it.
 //! 2. **Cross-request memoization** ([`MemoTable`]): a sharded,
-//!    capacity-bounded table of `(task fingerprint, input values) →
-//!    result` consulted on the server's execute hot path — the
-//!    `SimDb` shared query cache generalized to the real
+//!    capacity-bounded table of `(schema identity, attribute, input
+//!    values) → result` consulted on the server's execute hot path —
+//!    the `SimDb` shared query cache generalized to the real
 //!    `EngineServer` — with per-shard hit/miss/evict telemetry.
 //!
 //! ### Snapshot lifecycle
@@ -71,11 +74,13 @@ use crate::value::Value;
 /// One sealed instance's stabilized state, frozen as an immutable
 /// versioned snapshot: the source bindings it ran from and the
 /// terminal `(state, value)` of every attribute (attr-indexed — the
-/// schema fingerprint pins the index space).
+/// schema fingerprint pins the index space, the schema identity pins
+/// the task bodies that produced the values).
 #[derive(Clone, Debug)]
 pub struct InstanceSnapshot {
     version: u64,
     schema_fingerprint: u64,
+    schema_identity: u64,
     label: String,
     sources: Vec<(AttrId, Value)>,
     states: Vec<AttrState>,
@@ -113,6 +118,7 @@ impl InstanceSnapshot {
         InstanceSnapshot {
             version: 0,
             schema_fingerprint: schema_fingerprint(schema),
+            schema_identity: schema.identity(),
             label: label.into(),
             sources,
             states,
@@ -126,11 +132,27 @@ impl InstanceSnapshot {
         self.version
     }
 
-    /// Fingerprint of the schema the instance ran — the snapshot is
-    /// only a valid splice-in source for schemas with this exact
-    /// fingerprint.
+    /// Fingerprint of the schema the instance ran — the key the
+    /// [`StateStore`] files the snapshot under.
     pub fn schema_fingerprint(&self) -> u64 {
         self.schema_fingerprint
+    }
+
+    /// Is this snapshot a valid splice-in source for `schema`? Only
+    /// for the schema value it was captured from: the fingerprint
+    /// cannot see task bodies, so a structurally identical flow built
+    /// with another constant or closure would otherwise adopt values
+    /// its own tasks never computed.
+    pub(crate) fn check_schema(&self, schema: &Schema) -> Result<(), DeltaError> {
+        let expected = schema_fingerprint(schema);
+        if self.schema_fingerprint == expected && self.schema_identity == schema.identity() {
+            Ok(())
+        } else {
+            Err(DeltaError::SchemaMismatch {
+                expected,
+                got: self.schema_fingerprint,
+            })
+        }
     }
 
     /// The entity key the snapshot is stored under.
@@ -166,7 +188,9 @@ impl InstanceSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
     /// The prior snapshot was captured under a different schema: its
-    /// attr-indexed state cannot be spliced into this one.
+    /// attr-indexed state cannot be spliced into this one. Equal
+    /// fingerprints mean a structurally identical flow built
+    /// separately, whose task bodies may compute other values.
     SchemaMismatch {
         /// Fingerprint of the schema being submitted against.
         expected: u64,
@@ -178,6 +202,11 @@ pub enum DeltaError {
 impl std::fmt::Display for DeltaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DeltaError::SchemaMismatch { expected, got } if expected == got => write!(
+                f,
+                "delta snapshot schema mismatch: snapshot captured under another build of \
+                 {expected:#018x}, whose task bodies may differ"
+            ),
             DeltaError::SchemaMismatch { expected, got } => write!(
                 f,
                 "delta snapshot schema mismatch: request schema {expected:#018x}, \
@@ -216,14 +245,8 @@ pub fn plan_delta(
     prior: &InstanceSnapshot,
     sources: &SourceValues,
 ) -> Result<DeltaPlan, DeltaError> {
-    let expected = schema_fingerprint(schema);
-    if prior.schema_fingerprint != expected {
-        return Err(DeltaError::SchemaMismatch {
-            expected,
-            got: prior.schema_fingerprint,
-        });
-    }
-    // Same fingerprint ⇒ same source set in the same id order; a
+    prior.check_schema(schema)?;
+    // Same schema ⇒ same source set in the same id order; a
     // source unbound in the new request fails `sources.validate`
     // during runtime construction, so treat it as changed here rather
     // than erroring twice.
@@ -370,7 +393,7 @@ impl StateStore {
 
 /// Fingerprint of a task's input vector — the same fold the `SimDb`
 /// shared query cache uses, here keyed alongside the schema
-/// fingerprint and attribute index. Collisions are tolerated: lookups
+/// namespace and attribute index. Collisions are tolerated: lookups
 /// verify full input equality before returning a hit.
 pub fn inputs_fingerprint(inputs: &[Value]) -> u64 {
     let mut h = 0xCAFE_F00Du64;
@@ -401,11 +424,13 @@ struct MemoShard {
     evictions: Arc<Counter>,
 }
 
-/// The cross-request memo table: `(schema fingerprint, attribute,
-/// input values) → task result`, sharded by key hash and
-/// capacity-bounded with FIFO eviction. Consulted on the server's
-/// execute hot path so identical `(task, inputs)` evaluations across
-/// requests are answered without running the task body.
+/// The cross-request memo table: `(schema, attribute, input values) →
+/// task result`, sharded by key hash and capacity-bounded with FIFO
+/// eviction. Consulted on the server's execute hot path so identical
+/// `(task, inputs)` evaluations across requests are answered without
+/// running the task body. The `schema` key component must tell task
+/// bodies apart, which the structural fingerprint cannot: the server
+/// passes the schema's process-unique identity.
 pub struct MemoTable {
     shards: Vec<MemoShard>,
     per_shard_capacity: usize,
@@ -444,11 +469,11 @@ impl MemoTable {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// The memoized result of `(fingerprint, attr, inputs)`, if an
-    /// entry with **equal inputs** exists (the fingerprint narrows,
+    /// The memoized result of `(schema, attr, inputs)`, if an entry
+    /// with **equal inputs** exists (the input fingerprint narrows,
     /// equality decides). Counts a hit or miss either way.
-    pub fn lookup(&self, fingerprint: u64, attr: AttrId, inputs: &[Value]) -> Option<Value> {
-        let key = (fingerprint, attr.index() as u32, inputs_fingerprint(inputs));
+    pub fn lookup(&self, schema: u64, attr: AttrId, inputs: &[Value]) -> Option<Value> {
+        let key = (schema, attr.index() as u32, inputs_fingerprint(inputs));
         let shard = self.shard(&key);
         let inner = shard.inner.lock();
         match inner.map.get(&key) {
@@ -470,12 +495,8 @@ impl MemoTable {
     /// entry of the shard if it is at capacity. An existing entry for
     /// the key is left in place (first write wins — deterministic
     /// tasks make the values identical anyway).
-    pub fn insert(&self, fingerprint: u64, attr: AttrId, inputs: Vec<Value>, result: Value) {
-        let key = (
-            fingerprint,
-            attr.index() as u32,
-            inputs_fingerprint(&inputs),
-        );
+    pub fn insert(&self, schema: u64, attr: AttrId, inputs: Vec<Value>, result: Value) {
+        let key = (schema, attr.index() as u32, inputs_fingerprint(&inputs));
         let shard = self.shard(&key);
         let mut inner = shard.inner.lock();
         if inner.map.contains_key(&key) {
@@ -665,7 +686,7 @@ mod tests {
         assert_eq!(memo.lookup(1, a, &[Value::Int(1)]), Some(Value::Int(10)));
         // Different inputs, same key shape: miss, not a wrong hit.
         assert_eq!(memo.lookup(1, a, &[Value::Int(2)]), None);
-        // Different schema fingerprint: independent namespace.
+        // Different schema: independent namespace.
         assert_eq!(memo.lookup(2, a, &[Value::Int(1)]), None);
         assert_eq!(memo.hits(), 1);
         assert_eq!(memo.misses(), 3);

@@ -21,7 +21,7 @@
 //! `InstanceSealed` come from the instance's recorder, the
 //! [`JournalWriter`](crate::journal::JournalWriter) inside its runtime,
 //! of which the WAL is one output — the frames are the very ones it
-//! stamps for its memory and tape outputs. Either way the hot path
+//! stamps for its memory output. Either way the hot path
 //! only enqueues an event on a bounded channel — it never blocks on an
 //! fsync. Each lane's appender thread drains whatever has accumulated,
 //! writes it, and commits the whole batch with **one** `fdatasync`

@@ -119,11 +119,6 @@ impl<E> Calendar<E> {
         None
     }
 
-    /// Number of pending entries, **including** lazily cancelled ones.
-    pub fn raw_len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// True when no live events remain.
     pub fn is_empty(&mut self) -> bool {
         self.peek_time().is_none()

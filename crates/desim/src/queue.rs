@@ -39,10 +39,8 @@ pub struct ServiceCenter<J> {
     queue: VecDeque<Waiting<J>>,
     // statistics
     pub(crate) util: TimeWeighted,
-    pub(crate) qlen: TimeWeighted,
     completed: u64,
     total_service: SimTime,
-    total_wait: SimTime,
 }
 
 impl<J> ServiceCenter<J> {
@@ -54,10 +52,8 @@ impl<J> ServiceCenter<J> {
             busy: 0,
             queue: VecDeque::new(),
             util: TimeWeighted::new(),
-            qlen: TimeWeighted::new(),
             completed: 0,
             total_service: SimTime::ZERO,
-            total_wait: SimTime::ZERO,
         }
     }
 
@@ -113,13 +109,11 @@ impl<J> ServiceCenter<J> {
         self.completed += 1;
         if let Some(w) = self.queue.pop_front() {
             // Server stays busy, next job starts immediately.
-            let wait = now.saturating_sub(w.enqueued_at);
-            self.total_wait += wait;
             self.total_service += w.service;
             Some(Admission {
                 job: w.job,
                 completes_at: now + w.service,
-                queue_wait: wait,
+                queue_wait: now.saturating_sub(w.enqueued_at),
             })
         } else {
             self.busy -= 1;
@@ -132,22 +126,8 @@ impl<J> ServiceCenter<J> {
         self.util.mean() / self.servers as f64
     }
 
-    /// Time-averaged queue length (waiting jobs only).
-    pub fn mean_queue_len(&self) -> f64 {
-        self.qlen.mean()
-    }
-
-    /// Mean queueing delay per completed-or-started job.
-    pub fn mean_wait(&self) -> SimTime {
-        match self.total_wait.0.checked_div(self.completed) {
-            Some(ns) => SimTime(ns),
-            None => SimTime::ZERO,
-        }
-    }
-
     fn record(&mut self, now: SimTime) {
         self.util.observe(now, self.busy as f64);
-        self.qlen.observe(now, self.queue.len() as f64);
     }
 }
 

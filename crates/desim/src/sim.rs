@@ -116,11 +116,6 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// Mutable access to the model between runs.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consume the simulation, returning the model (for post-run
     /// statistics extraction).
     pub fn into_model(self) -> M {

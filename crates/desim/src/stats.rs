@@ -114,11 +114,6 @@ impl Tally {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum sample (0 when empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {

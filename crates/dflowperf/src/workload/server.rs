@@ -28,12 +28,12 @@ use super::{
 /// tallied from the server-side `InstanceResult::deadline_exceeded`
 /// flag (derived from `Request::deadline`).
 ///
-/// On a builder with [`ServerBuilder::durable`] set, every request is
-/// submitted with [`Request::durable`] — the run then measures the
-/// write-ahead-logged hot path, and the `wal_*` metrics ride along in
-/// the report's telemetry snapshot. With [`ServerBuilder::memoize`]
-/// the report's [`memo_hit_rate`](LoadReport::memo_hit_rate) becomes
-/// meaningful.
+/// On a server with an event store ([`ServerBuilder::durable`]) every
+/// request is submitted with [`Request::durable`] — the run then
+/// measures the write-ahead-logged hot path, and the `wal_*` metrics
+/// ride along in the report's telemetry snapshot. With
+/// [`ServerBuilder::memoize`] the report's
+/// [`memo_hit_rate`](LoadReport::memo_hit_rate) becomes meaningful.
 #[derive(Clone, Debug)]
 pub struct Server(pub ServerBuilder);
 
@@ -76,13 +76,12 @@ fn register_flows(server: &EngineServer, workload: &Workload) {
 /// (not left to the server default) so a borrowed [`OnServer`] backend
 /// runs the workload's strategy even when the caller built the server
 /// with a different one.
-fn server_request(workload: &Workload, strategy: Strategy, i: usize, durable: bool) -> Request {
+fn server_request(workload: &Workload, strategy: Strategy, i: usize) -> Request {
     let flow = &workload.flows[i % workload.flows.len()];
     let mut req = Request::named(format!("flow{}", i % workload.flows.len()))
         .sources(flow.sources.clone())
         .options(workload.options)
-        .strategy(strategy)
-        .durable(durable);
+        .strategy(strategy);
     if let Some(budget) = workload.deadline {
         req = req.deadline(budget);
     }
@@ -93,7 +92,8 @@ fn server_request(workload: &Workload, strategy: Strategy, i: usize, durable: bo
 /// `submit_many` batches, each wave awaited before the next (which
 /// also guarantees a resubmission finds its client's previous
 /// completion already committed). `request(i)` builds the run's
-/// `i`-th request; it is called in index order.
+/// `i`-th request; it is called in index order. Requests are durable
+/// iff the server has a store to log them to.
 fn run_waves_on(
     server: &EngineServer,
     workload: &Workload,
@@ -102,6 +102,7 @@ fn run_waves_on(
     clients: usize,
     mut request: impl FnMut(usize) -> Request,
 ) -> Result<LoadReport, LoadError> {
+    let durable = server.store().is_some();
     let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
     let mut shards_seen = HashSet::new();
     let t0 = Instant::now();
@@ -117,7 +118,7 @@ fn run_waves_on(
             measure_t0 = Some(Instant::now());
         }
         let tickets = server
-            .submit_many((next..next + wave).map(&mut request))
+            .submit_many((next..next + wave).map(|i| request(i).durable(durable)))
             .map_err(|e| LoadError::Exec(e.to_string()))?;
         for (k, t) in tickets.into_iter().enumerate() {
             acc.settle_ticket(next + k, t, &mut shards_seen);
@@ -181,9 +182,8 @@ fn resub_request(
     wave: usize,
     churn: usize,
     delta: bool,
-    durable: bool,
 ) -> Request {
-    let mut req = server_request(workload, strategy, c, durable).label(format!("client{c}"));
+    let mut req = server_request(workload, strategy, c).label(format!("client{c}"));
     if wave > 0 && churn > 0 {
         let flow = &workload.flows[c % workload.flows.len()];
         let mut sources = flow.sources.clone();
@@ -218,15 +218,16 @@ fn resub_request(
 ///
 /// Pacing continues regardless of backlog: that is what makes the
 /// system saturate when offered load exceeds capacity. The realized
-/// schedule fidelity is reported in [`PacerStats`].
+/// schedule fidelity is reported in [`PacerStats`]. Requests are
+/// durable iff the server has a store to log them to.
 fn run_open_on(
     server: &EngineServer,
     workload: &Workload,
     strategy: Strategy,
     total: usize,
     rate: f64,
-    durable: bool,
 ) -> Result<LoadReport, LoadError> {
+    let durable = server.store().is_some();
     let mean = SimTime::from_secs_f64(1.0 / rate);
     let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
     let mut shards_seen = HashSet::new();
@@ -266,7 +267,7 @@ fn run_open_on(
                     measure_t0 = Instant::now();
                 }
                 let ticket = server
-                    .submit(server_request(workload, strategy, idx, durable))
+                    .submit(server_request(workload, strategy, idx).durable(durable))
                     .map_err(|e| LoadError::Exec(e.to_string()))?;
                 let actual = start.elapsed();
                 let lag = (actual.as_secs_f64() - scheduled.as_secs_f64()).abs();
@@ -328,15 +329,14 @@ fn run_on(
     workload: &Workload,
     strategy: Strategy,
     total: usize,
-    durable: bool,
 ) -> Result<LoadReport, LoadError> {
     match workload.arrival {
         Arrival::Closed { clients, .. } => {
             run_waves_on(server, workload, strategy, total, clients, |i| {
-                server_request(workload, strategy, i, durable)
+                server_request(workload, strategy, i)
             })
         }
-        Arrival::Poisson { rate } => run_open_on(server, workload, strategy, total, rate, durable),
+        Arrival::Poisson { rate } => run_open_on(server, workload, strategy, total, rate),
         Arrival::Resubmission {
             clients,
             delta_rate,
@@ -351,7 +351,7 @@ fn run_on(
             run_waves_on(server, workload, strategy, total, clients, |i| {
                 let delta = rng.gen_bool(delta_rate);
                 let (client, wave) = (i % clients, i / clients);
-                resub_request(workload, strategy, client, wave, churn, delta, durable)
+                resub_request(workload, strategy, client, wave, churn, delta)
             })
         }
     }
@@ -371,7 +371,7 @@ impl Backend for Server {
             .build()
             .map_err(|e| LoadError::Exec(e.to_string()))?;
         register_flows(&server, workload);
-        run_on(&server, workload, strategy, total, server.store().is_some())
+        run_on(&server, workload, strategy, total)
     }
 }
 
@@ -391,29 +391,19 @@ impl Backend for Server {
 ///   registered under those names;
 /// * every request carries the workload's strategy explicitly, so the
 ///   server's default strategy does not leak into the run;
+/// * requests are durable iff the caller built the server over an event
+///   store, the same rule [`Server`] follows;
 /// * the final [`ServerSideStats`] snapshot aggregates the server's
 ///   whole history, not just this workload's instances.
 #[derive(Clone, Copy)]
 pub struct OnServer<'a> {
     server: &'a EngineServer,
-    durable: bool,
 }
 
 impl<'a> OnServer<'a> {
     /// Run workloads on `server` instead of a freshly built one.
     pub fn new(server: &'a EngineServer) -> OnServer<'a> {
-        OnServer {
-            server,
-            durable: false,
-        }
-    }
-
-    /// Submit every request with [`Request::durable`]. The borrowed
-    /// server must have been built with `ServerBuilder::durable` (it
-    /// needs an event store), or every submission fails.
-    pub fn durable(mut self, durable: bool) -> OnServer<'a> {
-        self.durable = durable;
-        self
+        OnServer { server }
     }
 }
 
@@ -425,6 +415,6 @@ impl Backend for OnServer<'_> {
     fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
         let Resolved { strategy, total } = workload.resolve()?;
         register_flows(self.server, workload);
-        run_on(self.server, workload, strategy, total, self.durable)
+        run_on(self.server, workload, strategy, total)
     }
 }

@@ -134,11 +134,6 @@ impl SimDb {
         self.units_done
     }
 
-    /// Mean CPU utilization (0..=1).
-    pub fn cpu_utilization(&self) -> f64 {
-        self.cpu.utilization()
-    }
-
     /// Reset statistics windows (e.g. after warmup) without disturbing
     /// in-flight work.
     pub fn reset_stats(&mut self, now: SimTime) {

@@ -8,13 +8,17 @@
 //! Why this holds: every attribute outside the delta cone depends only
 //! on sources whose bindings are unchanged, and the complete snapshot
 //! is a pure function of the source bindings (§2/§3), so the retained
-//! values *are* the values a cold run would re-derive.
+//! values *are* the values a cold run would re-derive — *this* flow's
+//! cold run: the last property pairs every flow with a twin of the
+//! same structure and other task bodies, and checks that neither the
+//! snapshot store nor the memo table ever hands one the other's values.
 
 use std::sync::Arc;
 
+use decision_flows::decisionflow::journal::schema_fingerprint;
 use decision_flows::prelude::{
-    complete_snapshot, CmpOp, Expr, InstanceSnapshot, Request, Schema, SchemaBuilder, SourceValues,
-    Strategy as EngineStrategy, Task, Value,
+    complete_snapshot, AttrState, CmpOp, EngineServer, Expr, FinalState, InstanceSnapshot, Request,
+    Schema, SchemaBuilder, SourceValues, Strategy as EngineStrategy, Task, Value,
 };
 use proptest::prelude::*;
 
@@ -81,8 +85,10 @@ fn arb_plan() -> impl proptest::strategy::Strategy<Value = Vec<AttrPlan>> {
 
 /// Compile plans into a schema with **at least two sources** (so a
 /// perturbation can leave part of the flow untouched — the whole point
-/// of a delta) and at least one non-source target.
-fn compile(plans: &[AttrPlan]) -> (Arc<Schema>, SourceValues) {
+/// of a delta) and at least one non-source target. `twist` reseeds the
+/// task bodies and nothing else: two compilations of one plan differ
+/// only in what the structural fingerprint cannot see.
+fn compile(plans: &[AttrPlan], twist: u64) -> (Arc<Schema>, SourceValues) {
     let mut b = SchemaBuilder::new();
     let mut ids: Vec<decision_flows::prelude::AttrId> = Vec::new();
     let mut non_source_ids: Vec<decision_flows::prelude::AttrId> = Vec::new();
@@ -110,7 +116,7 @@ fn compile(plans: &[AttrPlan]) -> (Arc<Schema>, SourceValues) {
             };
             let id = b.attr(
                 format!("a{i}"),
-                Task::query(p.cost, body(p.salt)),
+                Task::query(p.cost, body(p.salt ^ twist)),
                 inputs,
                 cond,
             );
@@ -159,7 +165,7 @@ proptest! {
         changes in prop::collection::vec((any::<usize>(), -50i64..150), 0..3),
         permitted in prop::sample::select(vec![40u8, 100]),
     ) {
-        let (schema, base) = compile(&plans);
+        let (schema, base) = compile(&plans, 0);
         let new_sources = perturb(&schema, &base, &changes);
         let oracle = complete_snapshot(&schema, &new_sources).expect("sources bound");
         for strategy in EngineStrategy::all_at(permitted) {
@@ -198,7 +204,7 @@ proptest! {
         plans in arb_plan(),
         permitted in prop::sample::select(vec![40u8, 100]),
     ) {
-        let (schema, base) = compile(&plans);
+        let (schema, base) = compile(&plans, 0);
         let oracle = complete_snapshot(&schema, &base).expect("sources bound");
         for strategy in EngineStrategy::all_at(permitted) {
             let seed = run_cold(&schema, strategy, &base).run().unwrap();
@@ -212,6 +218,65 @@ proptest! {
             prop_assert!(rt.retained_count() > 0, "must adopt prior values");
             prop_assert_eq!(delta.outcome.metrics.work, 0);
             prop_assert!(rt.agrees_with(&oracle));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// **Structure is not identity.** A flow and its twin — same plan,
+    /// other task bodies, equal fingerprints — share one label on one
+    /// server, so every lookup by `(fingerprint, label)` can find the
+    /// other's snapshot and every memo probe the other's `(attribute,
+    /// inputs)`. With and without memoization each result is still its
+    /// own flow's complete snapshot.
+    #[test]
+    fn same_shaped_twins_never_share_results(
+        plans in arb_plan(),
+        twist in 1u64..u64::MAX,
+        changes in prop::collection::vec((any::<usize>(), -50i64..150), 0..3),
+    ) {
+        let (a, base) = compile(&plans, 0);
+        let (b, _) = compile(&plans, twist);
+        prop_assert_eq!(schema_fingerprint(&a), schema_fingerprint(&b));
+        let moved = perturb(&a, &base, &changes);
+        for memoize in [false, true] {
+            let mut builder = EngineServer::builder().shards(1).workers_per_shard(1);
+            if memoize {
+                builder = builder.memoize(256);
+            }
+            let server = builder.build().expect("server builds");
+            server.register("a", Arc::clone(&a));
+            server.register("b", Arc::clone(&b));
+            // `b` after `a` finds `a`'s snapshot, `b` after `b` its own
+            // (a true delta), `a` after `b` finds `b`'s.
+            let trips = [("a", &a, &base), ("b", &b, &base), ("b", &b, &moved), ("a", &a, &moved)];
+            for (name, schema, sources) in trips {
+                let oracle = complete_snapshot(schema, sources).expect("sources bound");
+                let served = server
+                    .submit(
+                        Request::named(name)
+                            .sources(sources.clone())
+                            .label("entity")
+                            .delta_by_label(),
+                    )
+                    .expect("valid request")
+                    .wait()
+                    .expect("instance completes");
+                for &t in schema.targets() {
+                    let got = &served.record.attrs[t.index()];
+                    let state = match oracle.state(t) {
+                        FinalState::Value => AttrState::Value,
+                        FinalState::Disabled => AttrState::Disabled,
+                    };
+                    prop_assert_eq!(got.state, state, "{} state, memoize={}", name, memoize);
+                    prop_assert_eq!(
+                        got.value.as_ref(), Some(oracle.value(t)),
+                        "{} value, memoize={}", name, memoize
+                    );
+                }
+            }
         }
     }
 }

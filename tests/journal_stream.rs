@@ -1,20 +1,19 @@
-//! Streaming-writer properties over generated Table 1 flows.
+//! Stream-format properties over generated Table 1 flows.
 //!
 //! For random schema patterns and seeds, under **all 8 strategy
 //! combinations × %Permitted ∈ {0, 50, 100}**:
 //!
-//! * a streaming capture (write → read) reconstructs a `Journal`
-//!   equal to the buffered capture of the same request, and its
-//!   canonical JSON serialization is **byte-identical**;
-//! * the streamed tape replays through `ReplayEngine` exactly like
-//!   the buffered one;
-//! * dropping the footer (a capture that never sealed) is rejected on
-//!   read.
+//! * writing a captured journal as a stream and reading it back
+//!   reconstructs a `Journal` equal to the capture, and its canonical
+//!   JSON serialization is **byte-identical**;
+//! * the tape read back replays through `ReplayEngine` exactly like
+//!   the capture it was written from;
+//! * a tape cut short anywhere (no footer) is rejected on read.
 
 use std::sync::Arc;
 
-use decision_flows::decisionflow::journal::{read_journal, JournalError, MemorySink, ReplayEngine};
-use decision_flows::dflowgen::{generate, PatternParams};
+use decision_flows::decisionflow::journal::{read_journal, Journal, JournalError, ReplayEngine};
+use decision_flows::dflowgen::{generate, GeneratedFlow, PatternParams};
 use decision_flows::prelude::{Request, Strategy as EngineStrategy};
 use proptest::prelude::*;
 
@@ -38,10 +37,25 @@ fn arb_params() -> impl proptest::strategy::Strategy<Value = (PatternParams, u64
         })
 }
 
+/// One buffered capture of `flow` and its stream rendering.
+fn captured(flow: &GeneratedFlow, strategy: EngineStrategy) -> (Journal, Vec<u8>) {
+    let journal = Request::with_schema(Arc::clone(&flow.schema))
+        .sources(flow.sources.clone())
+        .strategy(strategy)
+        .record_journal(true)
+        .run()
+        .unwrap_or_else(|e| panic!("{strategy}: {e}"))
+        .journal
+        .expect("buffered journal");
+    let mut bytes = Vec::new();
+    journal.write_stream(&mut bytes).expect("writing to memory");
+    (journal, bytes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Streaming write → read is byte-identical to the in-memory
+    /// Stream write → read is byte-identical to the in-memory
     /// `Journal` serialization, for every strategy and parallelism
     /// level.
     #[test]
@@ -50,26 +64,7 @@ proptest! {
         let flow = generate(params, seed).expect("valid pattern");
         for permitted in [0u8, 50, 100] {
             for strategy in EngineStrategy::all_at(permitted) {
-                let buffered = Request::with_schema(Arc::clone(&flow.schema))
-                    .sources(flow.sources.clone())
-                    .strategy(strategy)
-                    .record_journal(true)
-                    .run()
-                    .unwrap_or_else(|e| panic!("{strategy}: {e}"))
-                    .journal
-                    .expect("buffered journal");
-                let buf = MemorySink::new();
-                let report = Request::with_schema(Arc::clone(&flow.schema))
-                    .sources(flow.sources.clone())
-                    .strategy(strategy)
-                    .stream_journal(buf.clone())
-                    .run()
-                    .unwrap_or_else(|e| panic!("{strategy}: {e}"));
-                prop_assert!(
-                    report.journal.is_none(),
-                    "{} streamed journal lives on the sink", strategy
-                );
-                let bytes = buf.bytes();
+                let (buffered, bytes) = captured(&flow, strategy);
                 let streamed = read_journal(&bytes[..])
                     .unwrap_or_else(|e| panic!("{strategy}: sealed stream unreadable: {e}"));
                 prop_assert_eq!(&streamed, &buffered, "{} journal", strategy);
@@ -79,30 +74,21 @@ proptest! {
                     "{} canonical JSON bytes", strategy
                 );
 
-                // A second serialization through write_stream agrees
-                // with what the live stream produced.
+                // Writing what was read gives the bytes that were read.
                 let mut rewritten = Vec::new();
-                buffered.write_stream(&mut rewritten).unwrap();
+                streamed.write_stream(&mut rewritten).unwrap();
                 prop_assert_eq!(&rewritten, &bytes, "{} stream bytes", strategy);
             }
         }
     }
 
-    /// The streamed tape is a faithful flight record: it replays to
-    /// completion, and an unsealed tape (footer dropped) is rejected.
+    /// The tape is a faithful flight record: read back, it replays to
+    /// completion; cut after any line but the last, it is rejected.
     #[test]
     fn streamed_tape_replays_and_truncation_is_detected(params_seed in arb_params()) {
         let (params, seed) = params_seed;
         let flow = generate(params, seed).expect("valid pattern");
-        let strategy: EngineStrategy = "PSE100".parse().unwrap();
-        let buf = MemorySink::new();
-        Request::with_schema(Arc::clone(&flow.schema))
-            .sources(flow.sources.clone())
-            .strategy(strategy)
-            .stream_journal(buf.clone())
-            .run()
-            .unwrap();
-        let bytes = buf.bytes();
+        let (_, bytes) = captured(&flow, "PSE100".parse().unwrap());
         let journal = read_journal(&bytes[..]).expect("sealed stream parses");
         let replayed = ReplayEngine::new(Arc::clone(&flow.schema), journal.clone())
             .expect("header valid")
@@ -112,10 +98,12 @@ proptest! {
 
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        let unsealed = lines[..lines.len() - 1].join("\n");
-        prop_assert!(matches!(
-            read_journal(unsealed.as_bytes()),
-            Err(JournalError::Malformed(_))
-        ), "unsealed tape must be rejected");
+        for keep in 1..lines.len() {
+            let cut = lines[..keep].join("\n");
+            prop_assert!(matches!(
+                read_journal(cut.as_bytes()),
+                Err(JournalError::Malformed(_))
+            ), "tape cut after line {} must be rejected", keep);
+        }
     }
 }
