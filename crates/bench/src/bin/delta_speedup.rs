@@ -41,7 +41,7 @@ use decisionflow::prelude::{Expr, SchemaBuilder, SourceValues, Task, Value};
 use decisionflow::server::EngineServer;
 use dflow_bench::harness::{f1, f2, ResultTable};
 use dflowgen::{GeneratedFlow, PatternParams};
-use dflowperf::{Arrival, Server, Workload};
+use dflowperf::{Arrival, Workload};
 
 /// Smoke floor: warm goodput over cold goodput.
 const MIN_SPEEDUP: f64 = 3.0;
@@ -161,7 +161,7 @@ fn main() {
             .warmup(clients)
             .seed(0xDE17A)
             .strategy(strategy)
-            .run(&Server(builder))
+            .run(&builder.build().expect("server build"))
             .expect("resubmission run");
         assert_eq!(r.completed, clients * waves);
         goodput.push(r.throughput_per_sec);

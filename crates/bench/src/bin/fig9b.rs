@@ -18,7 +18,7 @@
 //! `PC*100%` as the optimal program at this operating point.
 //!
 //! Both modes then run **graph (e)**: `Arrival::Poisson` against the
-//! real sharded `EngineServer` (`Server` backend), with task costs
+//! real sharded `EngineServer`, with task costs
 //! mapped onto wall-clock time (`GeneratedFlow::with_unit_delay`) so
 //! worker threads become the finite resource. Offered load sweeps past
 //! capacity; achieved throughput rises monotonically, then saturates,
@@ -40,7 +40,7 @@ use dflow_bench::harness::{f1, ResultTable};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
 use dflowperf::{
     guideline_for_pattern, max_work_for_throughput, portfolio, solve_unit_time,
-    solve_unit_time_with_lmpl, Arrival, DbFunction, Server, SimDb, Workload,
+    solve_unit_time_with_lmpl, Arrival, DbFunction, SimDb, Workload,
 };
 use simdb::{measure_db_function, measure_db_function_open, DbConfig};
 
@@ -254,12 +254,14 @@ fn open_load_vs_real_server(args: &Args) {
             .seed(0x9B)
             .deadline(deadline)
             .strategy("PCE100".parse().unwrap())
-            .run(&Server(
-                EngineServer::builder()
+            .run(
+                &EngineServer::builder()
                     .shards(shards)
-                    .workers_per_shard(workers),
-            ))
-            .expect("server build");
+                    .workers_per_shard(workers)
+                    .build()
+                    .expect("server build"),
+            )
+            .expect("server run");
         assert!(
             r.accounts_exactly(),
             "submitted = completed + late + abandoned must hold"

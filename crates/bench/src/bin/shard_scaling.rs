@@ -3,7 +3,7 @@
 //!
 //! A Fig-5-style sweep for the threading harness itself: each row runs
 //! one (shard count × strategy) cell as a closed-arrival `Workload`
-//! on the `Server` backend — batched `submit_many` waves, wall-clock
+//! on a fresh server — batched `submit_many` waves, wall-clock
 //! latency, per-shard gauges — and reports post-warmup
 //! instances/second, mean response, the deepest per-shard job queue
 //! observed at the end, how many shards actually executed work, and
@@ -47,7 +47,7 @@ use decisionflow::server::EngineServer;
 use decisionflow::telemetry::{HistogramSnapshot, TelemetrySnapshot};
 use dflow_bench::harness::{f1, f2, ResultTable};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
-use dflowperf::{Arrival, Server, Workload};
+use dflowperf::{Arrival, Workload};
 
 struct Args {
     smoke: bool,
@@ -150,10 +150,14 @@ fn main() {
                 .instances(total_instances)
                 .warmup(warmup_instances)
                 .strategy(strategy)
-                .run(&Server(
-                    EngineServer::builder().shards(shards).workers_per_shard(2),
-                ))
-                .expect("server build");
+                .run(
+                    &EngineServer::builder()
+                        .shards(shards)
+                        .workers_per_shard(2)
+                        .build()
+                        .expect("server build"),
+                )
+                .expect("server run");
             assert_eq!(out.completed, total_instances);
             let side = out.server.as_ref().expect("server stats");
             let tele = &side.telemetry;
@@ -178,7 +182,7 @@ fn main() {
                 strategy.to_string(),
                 f1(out.throughput_per_sec),
                 f2(out.responses.mean()),
-                side.shards_used.to_string(),
+                side.stats.shards_used().to_string(),
                 side.stats.max_queue_depth().to_string(),
                 f2(queue.p50_ms()),
                 f2(exec.p50_ms()),

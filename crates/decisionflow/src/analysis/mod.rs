@@ -357,15 +357,6 @@ impl Report {
         self.at_or_above(Severity::Error)
     }
 
-    /// Wrap a build failure as a one-finding Error report (the lint
-    /// path for schemas that do not even construct).
-    pub fn from_schema_error(e: &SchemaError) -> Report {
-        Report {
-            findings: vec![Finding::from(e)],
-            summary: AnalysisSummary::default(),
-        }
-    }
-
     /// The deadline-feasibility lint (DF010): compare `budget` (units
     /// of processing) against every target's completion-cost envelope.
     ///
@@ -706,9 +697,6 @@ mod tests {
         let f = Finding::from(&err);
         assert_eq!(f.code, Code::NoTargets);
         assert_eq!(f.severity, Severity::Error);
-        let report = Report::from_schema_error(&err);
-        assert!(report.has_errors());
-        assert!(report.to_text().contains("DF027"));
     }
 
     #[test]

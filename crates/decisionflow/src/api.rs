@@ -587,13 +587,14 @@ impl Ticket {
 }
 
 /// The handle returned by [`EngineServer::submit_many`]: one
-/// [`Ticket`] per request, in submission order, plus batch-level
-/// waits so callers stop hand-rolling poll loops over `Vec<Ticket>`.
+/// [`Ticket`] per request, in submission order, plus
+/// [`wait_all`](TicketBatch::wait_all) so callers stop hand-rolling
+/// loops over `Vec<Ticket>`.
 ///
-/// Per-ticket access stays available — [`TicketBatch::iter`] borrows
-/// the tickets in submission order, and [`TicketBatch::into_tickets`]
-/// recovers the plain `Vec<Ticket>` the method used to return, so
-/// existing consumers keep compiling with one method call.
+/// Per-ticket access stays available — [`TicketBatch::iter`] (and
+/// `IntoIterator`) visit the tickets in submission order, and
+/// [`TicketBatch::into_tickets`] dissolves the batch into its
+/// `Vec<Ticket>`.
 ///
 /// [`EngineServer::submit_many`]: crate::server::EngineServer::submit_many
 pub struct TicketBatch {
@@ -615,18 +616,12 @@ impl TicketBatch {
         self.tickets.is_empty()
     }
 
-    /// Borrow the tickets, in submission order.
-    pub fn tickets(&self) -> &[Ticket] {
-        &self.tickets
-    }
-
     /// Iterate the per-request [`Ticket`]s, in submission order.
     pub fn iter(&self) -> std::slice::Iter<'_, Ticket> {
         self.tickets.iter()
     }
 
-    /// Dissolve the batch into the plain `Vec<Ticket>` that
-    /// `submit_many` used to return.
+    /// Dissolve the batch into its tickets, in submission order.
     pub fn into_tickets(self) -> Vec<Ticket> {
         self.tickets
     }
@@ -637,25 +632,6 @@ impl TicketBatch {
     /// without poisoning the rest of the batch.
     pub fn wait_all(self) -> Vec<Result<InstanceResult, ServerGone>> {
         self.tickets.into_iter().map(|t| t.wait()).collect()
-    }
-
-    /// Like [`wait_all`](TicketBatch::wait_all) but bounded by one
-    /// shared deadline (`now + timeout` at the moment of the call):
-    /// every slot either delivers (`Ok(Some(_))`), times out against
-    /// that same deadline (`Ok(None)`), or reports its instance gone
-    /// (`Err(ServerGone)`).
-    pub fn wait_all_timeout(
-        self,
-        timeout: Duration,
-    ) -> Vec<Result<Option<InstanceResult>, ServerGone>> {
-        let deadline = Instant::now().checked_add(timeout);
-        self.tickets
-            .into_iter()
-            .map(|t| match deadline {
-                Some(d) => t.wait_deadline(d),
-                None => t.wait().map(Some),
-            })
-            .collect()
     }
 }
 
@@ -682,12 +658,6 @@ impl<'a> IntoIterator for &'a TicketBatch {
 
     fn into_iter(self) -> Self::IntoIter {
         self.tickets.iter()
-    }
-}
-
-impl From<TicketBatch> for Vec<Ticket> {
-    fn from(batch: TicketBatch) -> Vec<Ticket> {
-        batch.tickets
     }
 }
 
@@ -1291,11 +1261,5 @@ mod tests {
         let batch = TicketBatch::new(tickets);
         let all = batch.wait_all();
         assert!(all.is_empty());
-        let batch = TicketBatch::new(Vec::new());
-        let all = batch.wait_all_timeout(Duration::from_millis(1));
-        assert!(all.is_empty());
-        let batch = TicketBatch::new(Vec::new());
-        let v: Vec<Ticket> = batch.into();
-        assert!(v.is_empty());
     }
 }

@@ -468,7 +468,7 @@ impl InstanceRuntime {
     }
 
     /// Number of tasks currently in flight.
-    pub fn in_flight_count(&self) -> usize {
+    fn in_flight_count(&self) -> usize {
         self.bufs.in_flight.iter().filter(|b| **b).count()
     }
 

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use crate::expr::{AttrView, Expr, Tri, ValueEnv};
-use crate::task::{Cost, Task};
+use crate::task::Task;
 use crate::value::Value;
 
 /// A shared rule-action body: stable inputs in, value out.
@@ -182,11 +182,6 @@ impl RuleSet {
     pub fn into_task(self) -> Task {
         Task::synthesis(move |inputs| self.evaluate(inputs))
     }
-
-    /// Compile into a synthesis [`Task`] with a scheduling cost.
-    pub fn into_task_with_cost(self, cost: Cost) -> Task {
-        Task::synthesis_with_cost(cost, move |inputs| self.evaluate(inputs))
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +324,6 @@ mod tests {
             Value::str("hot")
         );
         let rs2 = promo_rules(CombiningPolicy::FirstMatch);
-        assert_eq!(rs2.clone().into_task_with_cost(3).cost(), 3);
         assert_eq!(rs2.len(), 3);
         assert!(!rs2.is_empty());
     }

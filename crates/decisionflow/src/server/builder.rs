@@ -1,9 +1,12 @@
 //! Construction: the [`ServerBuilder`] knobs, the shard layout they
 //! produce, and the event store a durable server opens over it.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 use super::{EngineServer, ServerBuildError, ServerBuilder, ServerOpenError, Shard};
 use crate::api::EventHub;
@@ -53,9 +56,9 @@ impl ServerBuilder {
     /// write-ahead-logged to one appender lane per shard.
     ///
     /// Building replays the log first — torn tails from a crash are
-    /// tolerated, real corruption refuses to open — and every shard's
-    /// id sequence resumes above every id on file, so recovered and
-    /// new instances never collide. Accepted-but-unsealed instances
+    /// tolerated, real corruption refuses to open — and the id counter
+    /// resumes above every id on file, so recovered and new instances
+    /// never collide. Accepted-but-unsealed instances
     /// are exposed via [`EventStore::recovered`]; call
     /// [`EngineServer::recover_pending`] (after re-registering
     /// schemas) to re-execute them.
@@ -144,12 +147,14 @@ impl EngineServer {
                     Arc::clone(&state_store),
                     memo.clone(),
                 )
+                .map(Arc::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(EngineServer {
             shards,
             strategy,
-            route_cursor: AtomicUsize::new(0),
+            schemas: RwLock::new(HashMap::new()),
+            next_id: AtomicU64::new(0),
             event_capacity,
             events,
             spans,
@@ -161,22 +166,16 @@ impl EngineServer {
     }
 
     /// Open the event store with one appender lane per shard and
-    /// resume every shard's id sequence above everything on file.
+    /// resume the id counter above everything on file.
     fn attach_store(mut self, path: &Path) -> Result<EngineServer, ServerOpenError> {
         let config = StoreConfig {
             lanes: self.shards.len(),
             ..StoreConfig::default()
         };
         let store = EventStore::open_with(path, config).map_err(ServerOpenError::Store)?;
-        // Recovered ids keep their `id mod N` routing, so shard `i`
-        // must resume at the smallest k with k·N + i ≥ the recovered
-        // floor — new and recovered instances never collide.
-        let floor = store.recovered().next_instance_id;
-        let n = self.shards.len() as u64;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let k = floor.saturating_sub(i as u64).div_ceil(n);
-            shard.next_k.store(k, Ordering::Relaxed);
-        }
+        // New and recovered instances never collide; recovered ids
+        // keep their `id mod N` routing.
+        *self.next_id.get_mut() = store.recovered().next_instance_id;
         self.store = Some(Arc::new(store));
         Ok(self)
     }

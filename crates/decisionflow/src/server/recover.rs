@@ -43,18 +43,17 @@ impl EngineServer {
             return Ok(Vec::new());
         }
         let mut validated = Vec::with_capacity(store.recovered().pending.len());
+        let schemas = self.schemas.read();
         for p in &store.recovered().pending {
             let req = &p.request;
             let id = req.instance_id;
-            let shard = self.shard_for(id);
-            let schema =
-                shard
-                    .schema_for(&req.schema)
-                    .map_err(|_| RecoverError::UnknownSchema {
-                        instance_id: id,
-                        schema: req.schema.clone(),
-                    })?;
-            let current = schema_fingerprint(&schema);
+            let schema = schemas
+                .get(&req.schema)
+                .ok_or_else(|| RecoverError::UnknownSchema {
+                    instance_id: id,
+                    schema: req.schema.clone(),
+                })?;
+            let current = schema_fingerprint(schema);
             if current != req.schema_fingerprint {
                 return Err(RecoverError::FingerprintMismatch {
                     instance_id: id,
@@ -94,10 +93,11 @@ impl EngineServer {
                 rebuilt = rebuilt.deadline(Duration::from_millis(ms));
             }
             let v = self
-                .validate(shard, rebuilt, Instant::now())
+                .validate(&schemas, rebuilt, Instant::now())
                 .map_err(RecoverError::Submit)?;
-            validated.push((shard, id, p.next_attempt, v));
+            validated.push((id, p.next_attempt, v));
         }
+        drop(schemas);
         // Latch only now that every pending request validated.
         // ordering: latch-before-admit; one winner re-enqueues.
         if self.recovered_once.swap(true, Ordering::SeqCst) {
@@ -105,8 +105,8 @@ impl EngineServer {
         }
         validated
             .into_iter()
-            .map(|(shard, id, attempt, v)| {
-                self.admit(shard, id, v, Some(attempt))
+            .map(|(id, attempt, v)| {
+                self.admit(id, v, Some(attempt))
                     .map_err(RecoverError::Submit)
             })
             .collect()

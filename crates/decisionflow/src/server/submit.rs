@@ -1,9 +1,10 @@
 //! The admission pipeline behind [`EngineServer::submit`],
 //! [`EngineServer::submit_many`] and [`EngineServer::recover_pending`]:
-//! *validate* a request against its routed shard, *admit* it (WAL
-//! record, counters, live table, `Submitted` event), and build its
-//! runtime on the shard's own pool.
+//! *validate* a request against the registry, *admit* it to the shard
+//! its id names (WAL record, counters, live table, `Submitted` event),
+//! and build its runtime on that shard's own pool.
 
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,7 +12,7 @@ use std::time::Instant;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
-use super::{EngineServer, Instance, InstanceResult, Shard, ShardCtx, SubmitError, SubmitTimings};
+use super::{EngineServer, Instance, InstanceResult, Shard, SubmitError, SubmitTimings};
 use crate::api::{build_runtime, DeltaSource, InstanceEvent, Request, Ticket, TicketBatch};
 use crate::engine::Strategy;
 use crate::journal::{bind_sources, schema_fingerprint};
@@ -50,7 +51,7 @@ struct PendingStart {
 /// is enqueued and executed by that single worker after the one
 /// submission handoff, so recorded fan-out executions stay
 /// byte-deterministic.
-fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_at: Instant) {
+fn build_and_pump(shard: Arc<Shard>, id: u64, pending: PendingStart, enqueued_at: Instant) {
     let build_start = Instant::now();
     let PendingStart {
         request,
@@ -71,7 +72,7 @@ fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_a
         Some(DeltaSource::Label) => request
             .label
             .as_deref()
-            .and_then(|label| ctx.state_store.lookup(schema_fingerprint(&schema), label))
+            .and_then(|label| shard.state_store.lookup(schema_fingerprint(&schema), label))
             .filter(|prior| prior.check_schema(&schema).is_ok()),
     };
     // Constructing the runtime streams the eager-initialization frames
@@ -83,20 +84,20 @@ fn build_and_pump(ctx: Arc<ShardCtx>, id: u64, pending: PendingStart, enqueued_a
         strategy,
         prior.as_deref(),
         wal.clone(),
-        ctx.scratch.take(),
+        shard.scratch.take(),
     );
     let Ok(runtime) = built else {
         // Validation passed on the submitting thread, so this cannot
         // fail; if it ever does, the instance was admitted — account it
         // abandoned and drop `done_tx`, surfacing ServerGone.
-        ctx.abandon(id, wal.as_ref());
+        shard.abandon(id, wal.as_ref());
         return;
     };
     let built_at = Instant::now();
     timings.validate += built_at.saturating_duration_since(build_start);
     let inst = Arc::new(Instance {
         id,
-        ctx,
+        shard,
         schema,
         runtime: Mutex::new(runtime),
         submit: timings,
@@ -133,10 +134,11 @@ impl EngineServer {
     }
 
     /// Admission step one — resolve and validate: look the schema up
-    /// in `shard`'s registry replica and check the request against it
-    /// (durable requirements, source binding, an explicit delta prior).
-    /// No WAL record is sent, so a rejected request leaves no trace
-    /// (the caller fixes it and resubmits). `t0` is the caller's entry
+    /// in `schemas` (the caller's read guard on the registry) and check
+    /// the request against it (durable requirements, source binding, an
+    /// explicit delta prior). No id is drawn and no WAL record is sent,
+    /// so a rejected request leaves no trace (the caller fixes it and
+    /// resubmits). `t0` is the caller's entry
     /// time — the zero point of the `e2e` stage and of any
     /// [`Request::deadline`].
     ///
@@ -146,7 +148,7 @@ impl EngineServer {
     /// [`admit`](Self::admit) adds.
     pub(super) fn validate(
         &self,
-        shard: &Shard,
+        schemas: &HashMap<String, Arc<Schema>>,
         request: Request,
         t0: Instant,
     ) -> Result<Validated, SubmitError> {
@@ -161,8 +163,14 @@ impl EngineServer {
         }
         let schema = match request.schema() {
             Some(inline) => Arc::clone(inline),
-            // invariant: Request construction guarantees a schema or a name.
-            None => shard.schema_for(request.schema_name().expect("named or inline"))?,
+            None => {
+                // invariant: Request construction guarantees a schema or a name.
+                let name = request.schema_name().expect("named or inline");
+                let registered = schemas
+                    .get(name)
+                    .ok_or_else(|| SubmitError::UnknownSchema(name.to_string()))?;
+                Arc::clone(registered)
+            }
         };
         let routed = Instant::now();
         request
@@ -189,9 +197,10 @@ impl EngineServer {
     }
 
     /// Admission step two — the one place an instance enters the
-    /// server: write-ahead-log it (durable requests), count it
-    /// submitted, insert it into the live table, publish `Submitted`,
-    /// and enqueue its runtime build on the owning shard's pool.
+    /// server, and the only step that needs a shard (`id mod N`):
+    /// write-ahead-log it (durable requests), count it submitted,
+    /// insert it into the live table, publish `Submitted`, and enqueue
+    /// its runtime build on the owning shard's pool.
     /// `requeue` distinguishes a fresh acceptance (`None`: attempt 0,
     /// logs `RequestAccepted`) from a recovery re-execution
     /// (`Some(attempt)`: logs `RequestRequeued` — acceptance is already
@@ -203,7 +212,6 @@ impl EngineServer {
     /// concurrently.
     pub(super) fn admit(
         &self,
-        shard: &Shard,
         id: u64,
         validated: Validated,
         requeue: Option<u32>,
@@ -213,7 +221,7 @@ impl EngineServer {
             schema,
             mut timings,
         } = validated;
-        let ctx = &shard.ctx;
+        let shard = self.shard_for(id);
         // Log the lifecycle record only after validation passed, and
         // *before* the build job is enqueued: building the runtime
         // streams the instance's eager-initialization frames, and both
@@ -237,12 +245,12 @@ impl EngineServer {
                     },
                 };
                 store
-                    .append(ctx.index, event)
+                    .append(shard.index, event)
                     .map_err(|e| SubmitError::Store(e.to_string()))?;
                 timings.validate += append_start.elapsed();
                 Some(WalRecorder::new(
                     Arc::clone(store),
-                    ctx.index,
+                    shard.index,
                     id,
                     requeue.unwrap_or(0),
                 ))
@@ -255,14 +263,15 @@ impl EngineServer {
             .and_then(|budget| timings.t0.checked_add(budget));
         let strategy = request.strategy.unwrap_or(self.strategy);
         let (done_tx, done_rx) = unbounded();
-        ctx.tele.instance_submitted();
-        ctx.live.lock().insert(id, request.display_name());
+        shard.tele.instance_submitted();
+        shard.live.lock().insert(id, request.display_name());
         let label = request.label.clone();
-        ctx.events
-            .publish(ctx.index, |clock| InstanceEvent::Submitted {
+        shard
+            .events
+            .publish(shard.index, |clock| InstanceEvent::Submitted {
                 clock,
                 instance_id: id,
-                shard: ctx.index,
+                shard: shard.index,
                 label,
             });
         let pending = PendingStart {
@@ -274,78 +283,66 @@ impl EngineServer {
             deadline,
             timings,
         };
-        let job_ctx = Arc::clone(ctx);
+        let job_shard = Arc::clone(shard);
         let enqueued_at = Instant::now();
-        if !ctx.pool.spawn(Box::new(move || {
-            build_and_pump(job_ctx, id, pending, enqueued_at)
+        if !shard.pool.spawn(Box::new(move || {
+            build_and_pump(job_shard, id, pending, enqueued_at)
         })) {
             // Every worker of the shard is dead, so the build can never
             // run. The dropped job released `pending` — and with it
             // `done_tx`, surfacing ServerGone on the ticket.
-            ctx.abandon(id, wal.as_ref());
+            shard.abandon(id, wal.as_ref());
         }
-        Ok(Ticket::new(done_rx, id, ctx.index, deadline))
+        Ok(Ticket::new(done_rx, id, shard.index, deadline))
     }
 
-    /// Submit a batch of requests in one call: the route cursor is
-    /// drawn once for the whole batch, every request is validated
-    /// before any is admitted, and each shard hands out one contiguous
-    /// id block. Apart from that up-front validation a batch is
-    /// exactly a sequence of [`submit`](EngineServer::submit)s —
+    /// Submit a batch of requests in one call: every request is
+    /// validated — against one view of the registry, under one read
+    /// guard — before any is admitted, then the batch draws one
+    /// contiguous id block. Apart from that up-front validation a batch
+    /// is exactly a sequence of [`submit`](EngineServer::submit)s —
     /// same ids, same shards, same events, same stage timings — and
     /// journaling, strategy overrides, deadlines (measured from entry
     /// into this call), and labels are honored per request: a recorded
     /// batch is just a batch of recorded requests.
     ///
     /// Validation is all-or-nothing: if any request names an unknown
-    /// schema or binds invalid sources, *no* instance is started,
-    /// nothing is logged, and the first error is returned. On success
-    /// the returned [`TicketBatch`] holds the tickets in submission
-    /// order — wait on all of them with [`TicketBatch::wait_all`], or
-    /// peel off [`Ticket`]s via [`TicketBatch::into_tickets`]. (A WAL
-    /// lane failing mid-batch returns its error with the requests
-    /// admitted before it already running; the lane is latched failed,
-    /// so the server is degraded anyway.)
+    /// schema or binds invalid sources, *no* instance is started, no id
+    /// is consumed, nothing is logged, and the first error is returned.
+    /// On success the returned [`TicketBatch`] holds the tickets in
+    /// submission order — wait on all of them with
+    /// [`TicketBatch::wait_all`], or peel off [`Ticket`]s via
+    /// [`TicketBatch::into_tickets`]. (A WAL lane failing mid-batch
+    /// returns its error with the requests admitted before it already
+    /// running; the lane is latched failed, so the server is degraded
+    /// anyway.)
     pub fn submit_many<I>(&self, requests: I) -> Result<TicketBatch, SubmitError>
     where
         I: IntoIterator,
         I::Item: Into<Request>,
     {
         let t0 = Instant::now();
+        // The caller's iterator runs before the registry is locked: it
+        // may be slow, or call back into the server.
         let requests: Vec<Request> = requests.into_iter().map(Into::into).collect();
-        let n = self.shards.len();
-        // Route: one cursor draw spreads the batch round-robin.
-        let start = self
-            .route_cursor
-            .fetch_add(requests.len(), Ordering::Relaxed);
-        let shard_of = |i: usize| &self.shards[(start + i) % n];
         // Validate everything before anything is logged or started, so
         // any failure aborts the whole batch cleanly.
-        let validated = requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, request)| self.validate(shard_of(i), request, t0))
-            .collect::<Result<Vec<Validated>, SubmitError>>()?;
-        // One contiguous block of each shard's id sequence.
-        let mut counts = vec![0u64; n];
-        for i in 0..validated.len() {
-            counts[shard_of(i).ctx.index] += 1;
-        }
-        let mut next_k: Vec<u64> = self
-            .shards
-            .iter()
-            .zip(&counts)
-            .map(|(shard, &count)| shard.alloc_seq(count))
-            .collect();
+        let validated = {
+            let schemas = self.schemas.read();
+            requests
+                .into_iter()
+                .map(|request| self.validate(&schemas, request, t0))
+                .collect::<Result<Vec<Validated>, SubmitError>>()?
+        };
+        // ordering: the counter publishes nothing but its own value.
+        let first = self
+            .next_id
+            .fetch_add(validated.len() as u64, Ordering::Relaxed);
         // Admit in submission order; tickets come back in that order.
-        let mut tickets = Vec::with_capacity(validated.len());
-        for (i, v) in validated.into_iter().enumerate() {
-            let shard = shard_of(i);
-            let k = &mut next_k[shard.ctx.index];
-            let id = shard.id_for(*k, n as u64);
-            *k += 1;
-            tickets.push(self.admit(shard, id, v, None)?);
-        }
+        let tickets = (first..)
+            .zip(validated)
+            .map(|(id, v)| self.admit(id, v, None))
+            .collect::<Result<Vec<Ticket>, SubmitError>>()?;
         Ok(TicketBatch::new(tickets))
     }
 }

@@ -171,7 +171,6 @@ fn per_request_strategy_overrides_server_default() {
     // Server default is conservative-sequential; the request runs
     // speculative-parallel and the journal proves which one ran.
     let server = server(2, "PCE0");
-    assert_eq!(server.default_strategy(), "PCE0".parse().unwrap());
     server.register("flow", Arc::clone(&schema));
     let mut sv = SourceValues::new();
     sv.set(schema.lookup("s").unwrap(), 80i64);
@@ -622,14 +621,12 @@ fn routing_spreads_instances_over_shards() {
     let server = sharded(4, 1, "PCE0");
     assert_eq!(server.shard_count(), 4);
     assert_eq!(server.worker_count(), 4);
-    // Ids encode their owning shard: the k-th id minted by shard i
-    // is k·N + i, so ownership is recoverable as id mod N.
+    // Ids name their owning shard: id mod N.
     for id in 0..64u64 {
-        assert_eq!(server.shard_for(id).ctx.index, (id % 4) as usize);
+        assert_eq!(server.shard_for(id).index, (id % 4) as usize);
     }
-    // Submission routing is round-robin, so sequential submissions
-    // land on consecutive shards and the ids they mint cover all
-    // residues.
+    // Ids are the submission order, so sequential submissions land on
+    // consecutive shards.
     let schema = slow_schema(0);
     server.register("flow", Arc::clone(&schema));
     let mut seen = std::collections::HashSet::new();
@@ -641,6 +638,102 @@ fn routing_spreads_instances_over_shards() {
         t.wait().unwrap();
     }
     assert_eq!(seen.len(), 4, "8 sequential submissions hit every shard");
+}
+
+/// The i-th *admitted* instance of a fresh server has id i and runs on
+/// shard i mod N, however it was submitted; a rejected request or
+/// batch consumes no id and shifts nobody.
+#[test]
+fn ids_are_the_submission_order() {
+    const N: usize = 4;
+    let schema = slow_schema(0);
+    let server = sharded(N, 1, "PCE0");
+    server.register("flow", Arc::clone(&schema));
+    let request = |name: &'static str| {
+        let mut sv = SourceValues::new();
+        sv.set(schema.lookup("s").unwrap(), 80i64);
+        Request::named(name).sources(sv)
+    };
+    let mut tickets = vec![
+        server.submit(request("flow")).unwrap(),
+        server.submit(request("flow")).unwrap(),
+    ];
+    tickets.extend(server.submit_many((0..4).map(|_| request("flow"))).unwrap());
+    assert_eq!(
+        server.submit(request("ghost")).unwrap_err(),
+        SubmitError::UnknownSchema("ghost".into())
+    );
+    server
+        .submit_many([request("flow"), request("ghost")])
+        .unwrap_err();
+    tickets.push(server.submit(request("flow")).unwrap());
+    tickets.extend(server.submit_many((0..5).map(|_| request("flow"))).unwrap());
+    assert_eq!(tickets.len(), 12);
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        assert_eq!(ticket.instance_id(), i as u64);
+        assert_eq!(ticket.shard(), i % N);
+        let r = ticket.wait().unwrap();
+        assert_eq!((r.instance_id, r.shard), (i as u64, i % N));
+    }
+    assert_eq!(server.stats().submitted(), 12);
+}
+
+/// No existing test re-registers a name: the replacement must reach
+/// submissions on every shard, and the registry must list it once.
+#[test]
+fn reregistering_a_name_replaces_it_on_every_shard() {
+    let server = sharded(4, 1, "PCE0");
+    for c in [1i64, 2] {
+        let (schema, sv) = const_flow(c);
+        server.register("flow", schema);
+        let mut shards = std::collections::HashSet::new();
+        for _ in 0..8 {
+            let r = server.submit(("flow", sv.clone())).unwrap().wait().unwrap();
+            assert_eq!(r.record.outcome("t").unwrap().value, Some(Value::Int(c)));
+            shards.insert(r.shard);
+        }
+        assert_eq!(shards.len(), 4, "version {c} served on every shard");
+    }
+    assert_eq!(server.schema_names(), ["flow"]);
+}
+
+/// A `register` racing `submit_many` can never split a batch between
+/// two versions of one name: the batch resolves every request under
+/// one read guard on the one registry.
+#[test]
+fn a_batch_sees_one_version_of_a_reregistered_name() {
+    let server = sharded(4, 1, "PCE0");
+    let flows = [const_flow(1), const_flow(2)];
+    let sv = flows[0].1.clone();
+    server.register("flow", Arc::clone(&flows[0].0));
+    // Dropped when the submitting loop ends — or unwinds on a failed
+    // assertion, so the scope never waits on a thread left spinning.
+    let (done, running) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let (server, flows) = (&server, &flows);
+        scope.spawn(move || {
+            for (schema, _) in flows.iter().cycle() {
+                if running.try_recv() != Err(std::sync::mpsc::TryRecvError::Empty) {
+                    break;
+                }
+                server.register("flow", Arc::clone(schema));
+            }
+        });
+        let _done = done;
+        for _ in 0..300 {
+            let values: Vec<Option<Value>> = server
+                .submit_many((0..8).map(|_| ("flow", sv.clone())))
+                .unwrap()
+                .wait_all()
+                .into_iter()
+                .map(|r| r.unwrap().record.outcome("t").unwrap().value.clone())
+                .collect();
+            assert!(
+                values.windows(2).all(|w| w[0] == w[1]),
+                "one batch, two versions: {values:?}"
+            );
+        }
+    });
 }
 
 #[test]

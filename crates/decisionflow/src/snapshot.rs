@@ -65,27 +65,6 @@ impl CompleteSnapshot {
             .filter(|(_, s)| **s == FinalState::Value)
             .map(|(i, _)| AttrId::from_index(i))
     }
-
-    /// Fraction of non-source attributes that are enabled — the paper's
-    /// realized `%enabled` statistic for this instance.
-    pub fn enabled_fraction(&self, schema: &Schema) -> f64 {
-        let mut enabled = 0usize;
-        let mut total = 0usize;
-        for a in schema.attr_ids() {
-            if schema.is_source(a) {
-                continue;
-            }
-            total += 1;
-            if self.state(a) == FinalState::Value {
-                enabled += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            enabled as f64 / total as f64
-        }
-    }
 }
 
 impl ValueEnv for CompleteSnapshot {
@@ -264,7 +243,6 @@ mod tests {
         assert_eq!(snap.state(b), FinalState::Value);
         assert_eq!(snap.value(b), &Value::Int(6));
         assert_eq!(snap.len(), 3);
-        assert!((snap.enabled_fraction(&schema) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -279,7 +257,6 @@ mod tests {
         assert_eq!(snap.value(a), &Value::Null);
         // b's condition "a not null" is false once a is ⊥.
         assert_eq!(snap.state(b), FinalState::Disabled);
-        assert_eq!(snap.enabled_fraction(&schema), 0.0);
     }
 
     #[test]

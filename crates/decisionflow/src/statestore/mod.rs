@@ -391,11 +391,10 @@ impl StateStore {
 // MemoTable
 // ---------------------------------------------------------------------------
 
-/// Fingerprint of a task's input vector — the same fold the `SimDb`
-/// shared query cache uses, here keyed alongside the schema
+/// Fingerprint of a task's input vector, keyed alongside the schema
 /// namespace and attribute index. Collisions are tolerated: lookups
 /// verify full input equality before returning a hit.
-pub fn inputs_fingerprint(inputs: &[Value]) -> u64 {
+fn inputs_fingerprint(inputs: &[Value]) -> u64 {
     let mut h = 0xCAFE_F00Du64;
     for v in inputs {
         h = h.rotate_left(17) ^ v.fingerprint();

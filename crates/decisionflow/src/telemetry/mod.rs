@@ -137,12 +137,6 @@ impl StageTimings {
             Stage::EndToEnd => self.e2e_ns,
         }
     }
-
-    /// Sum of the four component stages (everything except `e2e`,
-    /// which spans them).
-    pub fn sum_of_stages_ns(&self) -> u64 {
-        self.route_ns + self.validate_ns + self.queue_wait_ns + self.execute_ns
-    }
 }
 
 /// One shard's telemetry: a [`Registry`] whose stage histograms and
@@ -429,7 +423,6 @@ mod tests {
             execute_ns: 4,
             e2e_ns: 11,
         };
-        assert_eq!(t.sum_of_stages_ns(), 10);
         assert_eq!(t.stage_ns(Stage::QueueWait), 3);
         assert_eq!(t.stage_ns(Stage::EndToEnd), 11);
     }

@@ -62,11 +62,6 @@ impl<J> ServiceCenter<J> {
         self.busy
     }
 
-    /// Number of jobs waiting (not yet in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Total jobs in the station (waiting + in service).
     pub fn population(&self) -> usize {
         self.busy + self.queue.len()
@@ -150,7 +145,6 @@ mod tests {
         );
         // Second job queues.
         assert!(c.submit(t0, "b", SimTime::from_millis(5)).is_none());
-        assert_eq!(c.queue_len(), 1);
         // When "a" completes, "b" is admitted with its wait recorded.
         let b = c.complete(SimTime::from_millis(10)).unwrap();
         assert_eq!(b.job, "b");

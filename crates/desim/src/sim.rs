@@ -19,7 +19,6 @@ pub struct Scheduler<E> {
     now: SimTime,
     calendar: Calendar<E>,
     stop_requested: bool,
-    events_dispatched: u64,
 }
 
 impl<E> Scheduler<E> {
@@ -28,7 +27,6 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             calendar: Calendar::new(),
             stop_requested: false,
-            events_dispatched: 0,
         }
     }
 
@@ -63,11 +61,6 @@ impl<E> Scheduler<E> {
     /// Ask the executor to stop after the current event returns.
     pub fn stop(&mut self) {
         self.stop_requested = true;
-    }
-
-    /// Total number of events dispatched so far.
-    pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
     }
 }
 
@@ -127,11 +120,6 @@ impl<M: Model> Simulation<M> {
         self.sched.now
     }
 
-    /// Total events dispatched.
-    pub fn events_dispatched(&self) -> u64 {
-        self.sched.events_dispatched
-    }
-
     /// Run until the calendar drains or the model stops the run.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
@@ -162,7 +150,6 @@ impl<M: Model> Simulation<M> {
                 .expect("peek saw an event, pop must succeed");
             debug_assert!(t >= self.sched.now, "calendar went backwards");
             self.sched.now = t;
-            self.sched.events_dispatched += 1;
             self.model.handle(ev, &mut self.sched);
         }
     }
@@ -206,7 +193,6 @@ mod tests {
                 SimTime::from_millis(30),
             ]
         );
-        assert_eq!(sim.events_dispatched(), 4);
     }
 
     #[test]

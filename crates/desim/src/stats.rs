@@ -48,11 +48,6 @@ impl TimeWeighted {
             self.weighted_sum / self.span
         }
     }
-
-    /// Total virtual time covered by observations, in seconds.
-    pub fn span_secs(&self) -> f64 {
-        self.span
-    }
 }
 
 /// Plain sample statistics: count / mean / min / max (Welford variance).
@@ -166,7 +161,6 @@ mod tests {
         tw.observe(SimTime::from_secs(4), 0.0); // 0 for 1s
                                                 // integral = 0*1 + 10*2 + 0*1 = 20 over 4s
         assert!((tw.mean() - 5.0).abs() < 1e-9);
-        assert!((tw.span_secs() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl SimTime {
     pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
         self.0.checked_add(rhs.0).map(SimTime)
     }
-
-    /// Multiply a duration by an integer scale factor.
-    pub fn scaled(self, k: u64) -> SimTime {
-        SimTime(self.0 * k)
-    }
 }
 
 impl Add for SimTime {
@@ -159,7 +154,6 @@ mod tests {
         assert_eq!(a + b, SimTime::from_millis(14));
         assert_eq!(a - b, SimTime::from_millis(6));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(b.scaled(3), SimTime::from_millis(12));
         let mut c = a;
         c += b;
         assert_eq!(c, SimTime::from_millis(14));

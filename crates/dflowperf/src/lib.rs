@@ -8,9 +8,10 @@
 //!   deadline/warmup/seed, executed by a pluggable [`Backend`] —
 //!   [`UnitTime`] (infinite-resource virtual clock, Figures 5–8),
 //!   [`SimDb`] (finite-resource simulated database, Figure 9(b)), or
-//!   [`Server`] (the real sharded `EngineServer`, closed waves *or*
-//!   an open pacer with `Request::deadline` late-drop accounting) —
-//!   all reporting one [`LoadReport`];
+//!   an `EngineServer` the caller built (`workload.run(&server)`: the
+//!   real sharded server, closed waves *or* an open pacer with
+//!   `Request::deadline` late-drop accounting) — all reporting one
+//!   [`LoadReport`];
 //! * [`pattern_sweep`] / [`guideline_for_pattern`] — sweep sugar over
 //!   `Workload` for per-pattern figures and guideline maps (Figure 8);
 //! * [`DbFunction`] — the empirical `Db` curve (Figure 9(a)),
@@ -49,10 +50,10 @@ pub use dbfunc::DbFunction;
 pub use guideline::{recommend_program, GuidelineMap, Recommendation, StrategyPoint};
 pub use model::{
     max_work_for_throughput, predict_response_ms, solve_unit_time, solve_unit_time_with_lmpl,
-    stable_gmpl, UnitTimeSolution,
+    UnitTimeSolution,
 };
 pub use sweep::{guideline_for_pattern, pattern_sweep, pattern_sweep_with_options, portfolio};
 pub use workload::{
-    Arrival, Backend, LatencyUnit, LoadError, LoadReport, OnServer, Percentiles, PhaseCounts,
-    Server, ServerSideStats, SimDb, SimDbStats, UnitTime, Workload,
+    Arrival, Backend, LatencyUnit, LoadError, LoadReport, Percentiles, PhaseCounts,
+    ServerSideStats, SimDb, SimDbStats, UnitTime, Workload,
 };

@@ -32,8 +32,8 @@
 //!
 //! The model's `TimeInSeconds` in Equation (3) is the *execution*
 //! component of response time; the real server's runtime telemetry
-//! measures the same decomposition empirically. A
-//! [`crate::workload::Server`] run embeds a
+//! measures the same decomposition empirically. A run on an
+//! `EngineServer` embeds a
 //! `decisionflow::telemetry::TelemetrySnapshot` in its
 //! [`ServerSideStats`](crate::workload::ServerSideStats): the `execute`
 //! stage histogram is the measured counterpart of Equation (3), and
@@ -194,13 +194,6 @@ pub fn predict_response_ms(
         .map(|u| u * time_in_units)
 }
 
-/// Implied Gmpl at the stable operating point (Equation 5).
-pub fn stable_gmpl(db: &DbFunction, th_per_sec: f64, work: f64) -> Option<f64> {
-    solve_unit_time(db, th_per_sec, work)
-        .stable_ms()
-        .map(|u| th_per_sec * work * u / 1000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,8 +232,6 @@ mod tests {
         let s = solve_unit_time(&db(), 2.0, 100.0);
         let u = s.stable_ms().unwrap();
         assert!((u - 10.0).abs() < 1e-6, "u = {u}");
-        let g = stable_gmpl(&db(), 2.0, 100.0).unwrap();
-        assert!((g - 2.0).abs() < 1e-3);
     }
 
     #[test]
@@ -256,7 +247,6 @@ mod tests {
             "fixed point property: {u} vs {expect}"
         );
         assert!(u > 10.0, "queueing must raise unit time");
-        assert!((stable_gmpl(&db(), 10.0, 60.0).unwrap() - 9.0).abs() < 1e-3);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * [`Backend`] — the pluggable execution setting:
 //!   * [`UnitTime`] — the in-process infinite-resource executor on a
 //!     virtual unit clock (Figures 5–8);
-//!   * [`SimDb`] — desim + the finite-resource simulated database,
-//!     with an optional shared query cache (Figure 9(b));
-//!   * [`Server`] — the real sharded [`EngineServer`], closed waves
-//!     of batched submissions *or* an open Poisson pacer, with late
-//!     drops accounted via `Request::deadline`;
+//!   * [`SimDb`] — desim + the finite-resource simulated database
+//!     (Figure 9(b));
+//!   * [`EngineServer`] — the real sharded server, as the caller built
+//!     it: closed waves of batched submissions *or* an open Poisson
+//!     pacer, with late drops accounted via `Request::deadline`;
 //! * [`LoadReport`] — the one outcome shape: throughput, latency
 //!   tallies and percentiles, per-phase counts, late-drop/abandon
 //!   accounting, and backend extras (database stats, per-shard server
@@ -37,8 +37,6 @@
 //! assert_eq!(report.completed, 5);
 //! assert!(report.mean_work() > 0.0);
 //! ```
-//!
-//! [`EngineServer`]: decisionflow::server::EngineServer
 
 mod server;
 mod simdb;
@@ -47,14 +45,14 @@ mod unit;
 use std::time::Duration;
 
 use decisionflow::engine::{RuntimeOptions, ServerStats, Strategy};
-use decisionflow::server::ServerBuildError;
+#[cfg(doc)]
+use decisionflow::server::EngineServer;
 use decisionflow::telemetry::TelemetrySnapshot;
 use desim::{SimTime, Tally};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
 
 use crate::guideline::StrategyPoint;
 
-pub use server::{OnServer, Server};
 pub use simdb::SimDb;
 pub use unit::UnitTime;
 
@@ -79,7 +77,7 @@ pub enum Arrival {
     },
     /// Open loop: instances arrive in a Poisson stream at `rate` per
     /// second (virtual seconds on [`SimDb`], wall-clock seconds on
-    /// [`Server`]), regardless of how many are still in flight —
+    /// [`EngineServer`]), regardless of how many are still in flight —
     /// the paper's §5 setting, where saturation curves emerge.
     Poisson {
         /// Mean arrival rate, instances per second.
@@ -94,9 +92,9 @@ pub enum Arrival {
     /// ([`Request::delta_by_label`](decisionflow::api::Request::delta_by_label))
     /// with probability `delta_rate`, otherwise an identical full cold
     /// rerun — so sweeping `delta_rate` from 0 to 1 on the same
-    /// workload measures the delta win directly. Server backends only ([`Server`] /
-    /// [`OnServer`]): [`UnitTime`] and [`SimDb`] have no snapshot
-    /// store to resubmit against.
+    /// workload measures the delta win directly. [`EngineServer`] only:
+    /// [`UnitTime`] and [`SimDb`] have no snapshot store to resubmit
+    /// against.
     Resubmission {
         /// Returning clients; each keeps one label (and one flow
         /// replica) for the whole run.
@@ -307,8 +305,6 @@ pub enum LoadError {
     /// The workload is misconfigured (empty flows, zero instances,
     /// warmup ≥ total, missing strategy, non-positive rate, …).
     Config(String),
-    /// The [`Server`] backend failed to spawn its worker threads.
-    Build(ServerBuildError),
     /// Execution failed mid-run (engine error, submission rejected,
     /// oracle divergence on [`UnitTime`]).
     Exec(String),
@@ -324,26 +320,12 @@ impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LoadError::Config(m) => write!(f, "{m}"),
-            LoadError::Build(e) => write!(f, "{e}"),
             LoadError::Exec(m) => write!(f, "{m}"),
         }
     }
 }
 
-impl std::error::Error for LoadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            LoadError::Build(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ServerBuildError> for LoadError {
-    fn from(e: ServerBuildError) -> LoadError {
-        LoadError::Build(e)
-    }
-}
+impl std::error::Error for LoadError {}
 
 // ---------------------------------------------------------------------------
 // LoadReport
@@ -355,7 +337,7 @@ impl From<ServerBuildError> for LoadError {
 pub enum LatencyUnit {
     /// The paper's abstract TimeInUnits (virtual clock).
     Units,
-    /// Milliseconds (virtual on [`SimDb`], wall-clock on [`Server`]).
+    /// Milliseconds (virtual on [`SimDb`], wall-clock on [`EngineServer`]).
     Millis,
 }
 
@@ -422,19 +404,15 @@ pub struct SimDbStats {
     pub mean_gmpl: f64,
     /// Mean realized `UnitTime`, ms per unit of processing.
     pub mean_unit_time_ms: f64,
-    /// Queries served from the shared cache (0 unless enabled).
-    pub cache_hits: u64,
     /// Total virtual time of the run.
     pub makespan: SimTime,
 }
 
-/// [`Server`]-only extras: what the real sharded server observed.
+/// [`EngineServer`]-only extras: what the real sharded server observed.
 #[derive(Clone, Debug)]
 pub struct ServerSideStats {
     /// Final per-shard statistics snapshot.
     pub stats: ServerStats,
-    /// Distinct shards that executed at least one instance.
-    pub shards_used: usize,
     /// The server's telemetry at the end of the run: per-stage latency
     /// histograms (route / validate / queue-wait / execute / e2e) and
     /// lifecycle counters, so a load report decomposes its end-to-end
@@ -489,7 +467,7 @@ pub struct LoadReport {
     /// full, but counted as drops and excluded from latency stats.
     pub late_dropped: usize,
     /// Instances that never delivered a result (a task body panicked;
-    /// only possible on the [`Server`] backend).
+    /// only possible on the [`EngineServer`] backend).
     pub abandoned: usize,
     /// Completion counts per phase.
     pub phases: PhaseCounts,
@@ -509,7 +487,7 @@ pub struct LoadReport {
     pub unneeded: Tally,
     /// Post-warmup in-deadline completions per second of the
     /// measurement window (virtual seconds on [`SimDb`], wall-clock on
-    /// [`Server`]; 0 on [`UnitTime`], which has no shared clock) —
+    /// [`EngineServer`]; 0 on [`UnitTime`], which has no shared clock) —
     /// the *goodput*, which collapses toward zero once a deadline is
     /// set and the backlog blows every budget.
     pub throughput_per_sec: f64,
@@ -519,11 +497,11 @@ pub struct LoadReport {
     /// saturates at capacity.
     pub completion_throughput_per_sec: f64,
     /// Duration of the whole run, warmup included (wall-clock on
-    /// [`Server`], virtual on [`SimDb`], zero on [`UnitTime`]).
+    /// [`EngineServer`], virtual on [`SimDb`], zero on [`UnitTime`]).
     pub wall: Duration,
     /// Simulated-database extras ([`SimDb`] backend only).
     pub sim: Option<SimDbStats>,
-    /// Sharded-server extras ([`Server`] backend only).
+    /// Sharded-server extras ([`EngineServer`] backend only).
     pub server: Option<ServerSideStats>,
 }
 
@@ -727,16 +705,15 @@ impl Accounting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ::simdb::DbConfig;
     use decisionflow::server::EngineServer;
 
-    /// A `Server` backend of `shards` × `workers_per_shard`.
-    fn server(shards: usize, workers_per_shard: usize) -> Server {
-        Server(
-            EngineServer::builder()
-                .shards(shards)
-                .workers_per_shard(workers_per_shard),
-        )
+    /// A fresh server of `shards` × `workers_per_shard`.
+    fn server(shards: usize, workers_per_shard: usize) -> EngineServer {
+        EngineServer::builder()
+            .shards(shards)
+            .workers_per_shard(workers_per_shard)
+            .build()
+            .unwrap()
     }
 
     fn flows(n: u64, params: PatternParams) -> Vec<GeneratedFlow> {
@@ -900,7 +877,10 @@ mod tests {
         assert_eq!(r.completed, 64);
         assert_eq!(r.responses.count(), 56, "post-warmup instances");
         let side = r.server.as_ref().unwrap();
-        assert!(side.shards_used >= 2, "instances must land on ≥2 shards");
+        assert!(
+            side.stats.shards_used() >= 2,
+            "instances must land on ≥2 shards"
+        );
         assert!(r.throughput_per_sec > 0.0);
         assert_eq!(side.stats.shard_count(), 4);
         assert_eq!(side.stats.completed(), 64);
@@ -924,12 +904,14 @@ mod tests {
                 waves: 3,
             })
             .strategy("PCE100".parse().unwrap())
-            .run(&Server(
-                EngineServer::builder()
+            .run(
+                &EngineServer::builder()
                     .shards(2)
                     .workers_per_shard(1)
-                    .durable(dir.clone()),
-            ))
+                    .durable(dir.clone())
+                    .build()
+                    .unwrap(),
+            )
             .unwrap();
         assert_eq!(r.completed, 12);
         let tele = &r.server.as_ref().unwrap().telemetry;
@@ -1095,12 +1077,14 @@ mod tests {
             .seed(21)
             .strategy("PCE100".parse().unwrap());
         let r = w
-            .run(&Server(
-                EngineServer::builder()
+            .run(
+                &EngineServer::builder()
                     .shards(2)
                     .workers_per_shard(1)
-                    .memoize(256),
-            ))
+                    .memoize(256)
+                    .build()
+                    .unwrap(),
+            )
             .unwrap();
         assert_eq!(r.submitted, 20);
         assert_eq!(r.completed, 20);
@@ -1133,9 +1117,8 @@ mod tests {
             })
             .seed(13)
             .strategy("PCE100".parse().unwrap());
-        let backend = server(1, 2);
-        let a = w.run(&backend).unwrap();
-        let b = w.run(&backend).unwrap();
+        let a = w.run(&server(1, 2)).unwrap();
+        let b = w.run(&server(1, 2)).unwrap();
         for r in [&a, &b] {
             assert_eq!(r.submitted, 8);
             assert_eq!(r.completed, 8);
@@ -1177,44 +1160,6 @@ mod tests {
         assert_eq!(p.p99, 99.0);
         assert_eq!(p.max, 100.0);
         assert_eq!(Percentiles::from_samples(vec![]), Percentiles::default());
-    }
-
-    /// The shared query cache offloads the database (the paper's
-    /// concluding "overlapping data" question).
-    #[test]
-    fn shared_cache_offloads_the_database() {
-        let fl = flows(1, small());
-        let base = Workload::new(fl)
-            .arrivals(Arrival::Poisson { rate: 6.0 })
-            .instances(80)
-            .warmup(20)
-            .seed(77)
-            .strategy("PCE100".parse().unwrap());
-        let cold = base.clone().run(&SimDb::default()).unwrap();
-        let cached = base
-            .run(&SimDb {
-                db: DbConfig::default(),
-                shared_query_cache: true,
-            })
-            .unwrap();
-        let (cold_sim, cached_sim) = (cold.sim.unwrap(), cached.sim.unwrap());
-        assert_eq!(cold_sim.cache_hits, 0);
-        assert!(
-            cached_sim.cache_hits > 0,
-            "overlapping data must hit the cache"
-        );
-        assert!(
-            cached_sim.mean_gmpl < cold_sim.mean_gmpl,
-            "cache offloads the DB: gmpl {} vs {}",
-            cached_sim.mean_gmpl,
-            cold_sim.mean_gmpl
-        );
-        assert!(
-            cached.responses.mean() < cold.responses.mean(),
-            "cache cuts response time: {} vs {}",
-            cached.responses.mean(),
-            cold.responses.mean()
-        );
     }
 
     /// Parallel strategies beat sequential ones at light load.

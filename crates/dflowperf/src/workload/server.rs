@@ -1,14 +1,13 @@
-//! The [`Server`] and [`OnServer`] backends: the real sharded
-//! [`EngineServer`], driven in closed waves or by an open pacer.
+//! [`EngineServer`] as a [`Backend`]: the real sharded server, driven
+//! in closed waves or by an open pacer.
 
-use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use decisionflow::api::{Request, Ticket};
 use decisionflow::engine::Strategy;
-use decisionflow::server::{EngineServer, ServerBuilder};
+use decisionflow::server::EngineServer;
 use decisionflow::value::Value;
 use desim::{exp_time, SimTime};
 use rand::rngs::StdRng;
@@ -19,34 +18,14 @@ use super::{
     Resolved, ServerSideStats, Workload,
 };
 
-/// The real sharded multi-threaded [`EngineServer`], built per run
-/// from the wrapped [`ServerBuilder`] — shard layout, durability and
-/// memoization are the builder's knobs; the workload's strategy
-/// overrides the builder's. Closed arrivals submit `submit_many` waves,
-/// each awaited before the next; Poisson arrivals run an open pacer
-/// that submits on schedule whatever the backlog, and late drops are
-/// tallied from the server-side `InstanceResult::deadline_exceeded`
-/// flag (derived from `Request::deadline`).
-///
-/// On a server with an event store ([`ServerBuilder::durable`]) every
-/// request is submitted with [`Request::durable`] — the run then
-/// measures the write-ahead-logged hot path, and the `wal_*` metrics
-/// ride along in the report's telemetry snapshot. With
-/// [`ServerBuilder::memoize`] the report's
-/// [`memo_hit_rate`](LoadReport::memo_hit_rate) becomes meaningful.
-#[derive(Clone, Debug)]
-pub struct Server(pub ServerBuilder);
-
 impl Accounting {
     /// Account one server ticket: deliver its result (recording the
-    /// executing shard and the deadline outcome) or count the
-    /// abandonment. Latency, lateness and shard are all server-measured
-    /// fields of the result, so when the ticket is waited on does not
-    /// change what is recorded.
-    fn settle_ticket(&mut self, idx: usize, ticket: Ticket, shards_seen: &mut HashSet<usize>) {
+    /// deadline outcome) or count the abandonment. Latency and lateness
+    /// are server-measured fields of the result, so when the ticket is
+    /// waited on does not change what is recorded.
+    fn settle_ticket(&mut self, idx: usize, ticket: Ticket) {
         match ticket.wait() {
             Ok(r) => {
-                shards_seen.insert(r.shard);
                 self.delivered(
                     idx,
                     r.deadline_exceeded,
@@ -59,23 +38,9 @@ impl Accounting {
     }
 }
 
-/// What both server-side backends stamp into [`LoadReport::backend`].
-const SERVER_BACKEND: &str = "server";
-
-/// Register the workload's flows into `server` as `flow0`, `flow1`, …
-/// — the names [`server_request`] submits against. [`OnServer`] calls
-/// this on a *caller-owned* server, overwriting any schemas previously
-/// registered under those names.
-fn register_flows(server: &EngineServer, workload: &Workload) {
-    for (i, flow) in workload.flows.iter().enumerate() {
-        server.register(format!("flow{i}"), Arc::clone(&flow.schema));
-    }
-}
-
 /// The `i`-th request of a server run. The strategy is set explicitly
-/// (not left to the server default) so a borrowed [`OnServer`] backend
-/// runs the workload's strategy even when the caller built the server
-/// with a different one.
+/// (not left to the server default), so the run uses the workload's
+/// strategy whatever default the caller built the server with.
 fn server_request(workload: &Workload, strategy: Strategy, i: usize) -> Request {
     let flow = &workload.flows[i % workload.flows.len()];
     let mut req = Request::named(format!("flow{}", i % workload.flows.len()))
@@ -104,7 +69,6 @@ fn run_waves_on(
 ) -> Result<LoadReport, LoadError> {
     let durable = server.store().is_some();
     let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
-    let mut shards_seen = HashSet::new();
     let t0 = Instant::now();
     // Starts when the first wave containing a measured instance is
     // submitted, so the throughput window covers every measured
@@ -121,14 +85,14 @@ fn run_waves_on(
             .submit_many((next..next + wave).map(|i| request(i).durable(durable)))
             .map_err(|e| LoadError::Exec(e.to_string()))?;
         for (k, t) in tickets.into_iter().enumerate() {
-            acc.settle_ticket(next + k, t, &mut shards_seen);
+            acc.settle_ticket(next + k, t);
         }
         next += wave;
     }
     let wall = t0.elapsed();
     let measured_wall = measure_t0.map(|t| t.elapsed()).unwrap_or(wall);
     let mut report = acc.into_report(ReportFrame {
-        backend: SERVER_BACKEND,
+        backend: server.name(),
         workload,
         strategy,
         submitted: total,
@@ -136,24 +100,19 @@ fn run_waves_on(
         wall,
         latency_unit: LatencyUnit::Millis,
     });
-    report.server = Some(server_side(server, shards_seen.len(), None));
+    report.server = Some(server_side(server, None));
     Ok(report)
 }
 
 /// The server's end-of-run view for the report. A durable run
 /// quiesces the WAL before the snapshot, so the report's `wal_*`
 /// metrics cover every append the run enqueued.
-fn server_side(
-    server: &EngineServer,
-    shards_used: usize,
-    pacer: Option<PacerStats>,
-) -> ServerSideStats {
+fn server_side(server: &EngineServer, pacer: Option<PacerStats>) -> ServerSideStats {
     if let Some(store) = server.store() {
         let _ = store.sync();
     }
     ServerSideStats {
         stats: server.stats(),
-        shards_used,
         telemetry: server.telemetry().snapshot(),
         pacer,
     }
@@ -230,7 +189,6 @@ fn run_open_on(
     let durable = server.store().is_some();
     let mean = SimTime::from_secs_f64(1.0 / rate);
     let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
-    let mut shards_seen = HashSet::new();
     let t0 = Instant::now();
     let (tx, rx) = mpsc::channel::<(usize, Ticket)>();
 
@@ -299,7 +257,7 @@ fn run_open_on(
         // The iterator ends when the pacer drops its sender, after its
         // last submission (or on its first rejected one).
         for (idx, ticket) in rx.iter() {
-            acc.settle_ticket(idx, ticket, &mut shards_seen);
+            acc.settle_ticket(idx, ticket);
         }
         (pacer.join(), Instant::now())
     });
@@ -310,7 +268,7 @@ fn run_open_on(
         .saturating_duration_since(measure_t0)
         .as_secs_f64();
     let mut report = acc.into_report(ReportFrame {
-        backend: SERVER_BACKEND,
+        backend: server.name(),
         workload,
         strategy,
         submitted: total,
@@ -318,103 +276,68 @@ fn run_open_on(
         wall,
         latency_unit: LatencyUnit::Millis,
     });
-    report.server = Some(server_side(server, shards_seen.len(), Some(pacer_stats)));
+    report.server = Some(server_side(server, Some(pacer_stats)));
     Ok(report)
 }
 
-/// Run `workload` against an already-built server under its arrival
-/// process — the one dispatch [`Server`] and [`OnServer`] share.
-fn run_on(
-    server: &EngineServer,
-    workload: &Workload,
-    strategy: Strategy,
-    total: usize,
-) -> Result<LoadReport, LoadError> {
-    match workload.arrival {
-        Arrival::Closed { clients, .. } => {
-            run_waves_on(server, workload, strategy, total, clients, |i| {
-                server_request(workload, strategy, i)
-            })
-        }
-        Arrival::Poisson { rate } => run_open_on(server, workload, strategy, total, rate),
-        Arrival::Resubmission {
-            clients,
-            delta_rate,
-            churn,
-            ..
-        } => {
-            // Wave 0 seeds every client's snapshot cold; later waves
-            // resubmit the same labels, each as a delta with
-            // probability `delta_rate` — seeded by `Workload::seed`, so
-            // two runs offer the identical request sequence.
-            let mut rng = StdRng::seed_from_u64(workload.seed);
-            run_waves_on(server, workload, strategy, total, clients, |i| {
-                let delta = rng.gen_bool(delta_rate);
-                let (client, wave) = (i % clients, i / clients);
-                resub_request(workload, strategy, client, wave, churn, delta)
-            })
-        }
-    }
-}
-
-impl Backend for Server {
-    fn name(&self) -> &'static str {
-        SERVER_BACKEND
-    }
-
-    fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
-        let Resolved { strategy, total } = workload.resolve()?;
-        let server = self
-            .0
-            .clone()
-            .strategy(strategy)
-            .build()
-            .map_err(|e| LoadError::Exec(e.to_string()))?;
-        register_flows(&server, workload);
-        run_on(&server, workload, strategy, total)
-    }
-}
-
-/// A [`Backend`] that runs the workload on a **caller-owned**
-/// [`EngineServer`] instead of building a private one — the workload
-/// becomes one load source among whatever else the server is doing,
-/// and its effects show up in the server's own
-/// [`telemetry`](EngineServer::telemetry), stats, and event streams
-/// (which is exactly what a live dashboard wants; see
-/// `examples/server_dashboard.rs`).
+/// The real sharded multi-threaded [`EngineServer`], as built by the
+/// caller — shard layout, durability and memoization are its builder's
+/// knobs. The workload is one load source among whatever else the
+/// server is doing, and its effects show up in the server's own
+/// [`telemetry`](EngineServer::telemetry), stats and event streams
+/// (see `examples/server_dashboard.rs`).
 ///
-/// Differences from [`Server`]:
-///
-/// * the server's shard/worker layout is whatever the caller built;
-/// * [`run`](Backend::run) registers the workload's flows into the
-///   server as `flow0`, `flow1`, … — overwriting schemas previously
-///   registered under those names;
-/// * every request carries the workload's strategy explicitly, so the
-///   server's default strategy does not leak into the run;
-/// * requests are durable iff the caller built the server over an event
-///   store, the same rule [`Server`] follows;
-/// * the final [`ServerSideStats`] snapshot aggregates the server's
+/// * [`run`](Backend::run) registers the workload's flows as `flow0`,
+///   `flow1`, … — overwriting schemas previously registered under those
+///   names — and every request carries the workload's strategy.
+/// * Closed arrivals submit `submit_many` waves, each awaited before the
+///   next; Poisson arrivals run an open pacer that submits on schedule
+///   whatever the backlog, and late drops are tallied from the
+///   server-side `InstanceResult::deadline_exceeded` flag (derived from
+///   `Request::deadline`).
+/// * On a server with an event store (`ServerBuilder::durable`) every
+///   request is submitted with [`Request::durable`] — the run then
+///   measures the write-ahead-logged hot path, and the `wal_*` metrics
+///   ride along in the report's telemetry snapshot. With
+///   `ServerBuilder::memoize` the report's
+///   [`memo_hit_rate`](LoadReport::memo_hit_rate) becomes meaningful.
+/// * The final [`ServerSideStats`] snapshot aggregates the server's
 ///   whole history, not just this workload's instances.
-#[derive(Clone, Copy)]
-pub struct OnServer<'a> {
-    server: &'a EngineServer,
-}
-
-impl<'a> OnServer<'a> {
-    /// Run workloads on `server` instead of a freshly built one.
-    pub fn new(server: &'a EngineServer) -> OnServer<'a> {
-        OnServer { server }
-    }
-}
-
-impl Backend for OnServer<'_> {
+impl Backend for EngineServer {
     fn name(&self) -> &'static str {
-        SERVER_BACKEND
+        "server"
     }
 
     fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
         let Resolved { strategy, total } = workload.resolve()?;
-        register_flows(self.server, workload);
-        run_on(self.server, workload, strategy, total)
+        // The names `server_request` submits against.
+        for (i, flow) in workload.flows.iter().enumerate() {
+            self.register(format!("flow{i}"), Arc::clone(&flow.schema));
+        }
+        match workload.arrival {
+            Arrival::Closed { clients, .. } => {
+                run_waves_on(self, workload, strategy, total, clients, |i| {
+                    server_request(workload, strategy, i)
+                })
+            }
+            Arrival::Poisson { rate } => run_open_on(self, workload, strategy, total, rate),
+            Arrival::Resubmission {
+                clients,
+                delta_rate,
+                churn,
+                ..
+            } => {
+                // Wave 0 seeds every client's snapshot cold; later waves
+                // resubmit the same labels, each as a delta with
+                // probability `delta_rate` — seeded by `Workload::seed`, so
+                // two runs offer the identical request sequence.
+                let mut rng = StdRng::seed_from_u64(workload.seed);
+                run_waves_on(self, workload, strategy, total, clients, |i| {
+                    let delta = rng.gen_bool(delta_rate);
+                    let (client, wave) = (i % clients, i / clients);
+                    resub_request(workload, strategy, client, wave, churn, delta)
+                })
+            }
+        }
     }
 }

@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use decisionflow::engine::{InstanceRuntime, Strategy};
 use decisionflow::schema::AttrId;
-use decisionflow::statestore::inputs_fingerprint;
 use decisionflow::value::Value;
 use desim::{exp_time, Model, Scheduler, SimTime, Simulation};
 use rand::rngs::StdRng;
@@ -26,20 +25,12 @@ use super::{
 pub struct SimDb {
     /// Database configuration (Table 1 defaults).
     pub db: DbConfig,
-    /// Share query results across instances: a query whose
-    /// (attribute, input values) pair was already answered is served
-    /// from a shared cache instead of hitting the database — the
-    /// paper's concluding "overlapping data" question.
-    pub shared_query_cache: bool,
 }
 
 impl SimDb {
-    /// The Table-1 database with no cache.
+    /// The simulated database under `db`.
     pub fn new(db: DbConfig) -> SimDb {
-        SimDb {
-            db,
-            shared_query_cache: false,
-        }
+        SimDb { db }
     }
 }
 
@@ -76,10 +67,6 @@ struct SimDriver<'a> {
     /// True while a closed wave is being spawned (suppresses the
     /// next-wave trigger until the wave is fully submitted).
     spawning: bool,
-    /// (flow replica, attribute, input fingerprint) → cached result.
-    cache: HashMap<(usize, u32, u64), Value>,
-    cache_hits: u64,
-    shared_query_cache: bool,
 }
 
 impl SimDriver<'_> {
@@ -119,21 +106,9 @@ impl SimDriver<'_> {
             }
             let mut immediate = Vec::new();
             for (a, inputs) in launches.drain(..) {
-                let flow_idx = i % self.workload.flows.len();
                 let schema = self.insts[i].rt.schema();
                 let value = schema.attr(a).task.compute(&inputs);
                 let cost = schema.cost(a);
-                if self.shared_query_cache {
-                    let key = (flow_idx, a.index() as u32, inputs_fingerprint(&inputs));
-                    if let Some(hit) = self.cache.get(&key) {
-                        // Overlapping data: the answer is known; skip
-                        // the database round-trip entirely.
-                        self.cache_hits += 1;
-                        immediate.push((a, hit.clone()));
-                        continue;
-                    }
-                    self.cache.insert(key, value.clone());
-                }
                 let id = self.next_job;
                 self.next_job += 1;
                 let job = QueryJob { id, cost };
@@ -255,9 +230,6 @@ impl Backend for SimDb {
                 .map(|d| SimTime::from_secs_f64(d.as_secs_f64())),
             measure_start: SimTime::ZERO,
             spawning: false,
-            cache: HashMap::new(),
-            cache_hits: 0,
-            shared_query_cache: self.shared_query_cache,
         };
         let mut sim = Simulation::new(driver);
         sim.prime(SimTime::ZERO, Ev::Arrive);
@@ -277,7 +249,6 @@ impl Backend for SimDb {
         let sim_stats = SimDbStats {
             mean_gmpl: d.db.mean_gmpl(),
             mean_unit_time_ms: d.db.unit_times().mean() * 1e3,
-            cache_hits: d.cache_hits,
             makespan,
         };
         let mut report = d.acc.into_report(ReportFrame {

@@ -82,7 +82,6 @@ pub struct SimDb {
     // statistics
     gmpl: TimeWeighted,
     unit_times: Tally,
-    query_times: Tally,
     units_done: u64,
 }
 
@@ -98,7 +97,6 @@ impl SimDb {
             rng: StdRng::seed_from_u64(seed),
             gmpl: TimeWeighted::new(),
             unit_times: Tally::new(),
-            query_times: Tally::new(),
             units_done: 0,
             cfg,
         }
@@ -109,11 +107,6 @@ impl SimDb {
         &self.cfg
     }
 
-    /// Number of queries currently in process (the instantaneous Gmpl).
-    pub fn active_queries(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Time-averaged global multiprogramming level.
     pub fn mean_gmpl(&self) -> f64 {
         self.gmpl.mean()
@@ -122,11 +115,6 @@ impl SimDb {
     /// Statistics over unit-of-processing response times.
     pub fn unit_times(&self) -> &Tally {
         &self.unit_times
-    }
-
-    /// Statistics over whole-query response times.
-    pub fn query_times(&self) -> &Tally {
-        &self.query_times
     }
 
     /// Units of processing completed so far.
@@ -140,7 +128,6 @@ impl SimDb {
         self.gmpl = TimeWeighted::new();
         self.gmpl.observe(now, self.jobs.len() as f64);
         self.unit_times = Tally::new();
-        self.query_times = Tally::new();
         self.units_done = 0;
     }
 
@@ -290,7 +277,6 @@ impl SimDb {
             submitted_at: st.submitted_at,
             completed_at: now,
         };
-        self.query_times.add_time(completion.response());
         Some(completion)
     }
 }
@@ -358,7 +344,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].response(), SimTime::from_millis(30));
         assert_eq!(db.units_done(), 3);
-        assert_eq!(db.active_queries(), 0);
     }
 
     #[test]
@@ -438,7 +423,6 @@ mod tests {
         assert_eq!(done.len(), 20);
         assert_eq!(db.units_done(), 60);
         assert_eq!(db.unit_times().count(), 60);
-        assert_eq!(db.query_times().count(), 20);
         // Unit times at this load exceed the zero-load demand.
         assert!(db.unit_times().mean() * 1000.0 >= 10.0);
     }

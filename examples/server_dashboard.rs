@@ -4,16 +4,15 @@
 //! Run with: `cargo run --release --example server_dashboard`
 //!
 //! This is the observability loop an operator would run: one thread
-//! drives a Poisson arrival stream at the server through the
-//! [`OnServer`] backend (the workload is a tenant of a *caller-owned*
-//! server, not a private one), while the main thread holds the
+//! drives a Poisson arrival stream at the server (`workload.run(&server)`:
+//! the workload is a tenant of a *caller-owned* server), while the
+//! main thread holds the
 //! server's [`Telemetry`] handle and prints a one-line dashboard each
 //! second — in-flight instances, queue depth, completions seen on the
 //! event stream, and the p99 of the `queue_wait` and `e2e` stage
 //! histograms. At the end it prints the full per-stage breakdown and a
 //! sample of the Prometheus exposition a scrape endpoint would serve.
 //!
-//! [`OnServer`]: dflowperf::OnServer
 //! [`Telemetry`]: decision_flows::prelude::Telemetry
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,7 +20,7 @@ use std::time::Duration;
 
 use decision_flows::prelude::*;
 use dflowgen::{generate, GeneratedFlow, PatternParams};
-use dflowperf::{Arrival, LoadReport, OnServer, Workload};
+use dflowperf::{Arrival, LoadReport, Workload};
 
 fn main() {
     // A small server: 2 shards × 2 workers, speculating eagerly, with
@@ -59,7 +58,7 @@ fn main() {
                 .warmup(100)
                 .seed(42)
                 .strategy(strategy)
-                .run(&OnServer::new(&server))
+                .run(&server)
                 .expect("workload run");
             done.store(true, Ordering::Release);
             r

@@ -522,6 +522,108 @@ fn recover_pending_is_all_or_nothing_and_retryable() {
     let _ = std::fs::remove_dir_all(&crashed);
 }
 
+/// The id counter resumes at the recovered floor: the first id a
+/// reopened server hands out *is* `next_instance_id` — above every
+/// sealed and every pending id on file, whichever shard minted them —
+/// and later submissions continue from it in submission order.
+#[test]
+fn first_id_after_a_reopen_is_the_recovered_floor() {
+    const SHARDS: usize = 3;
+    let open = |dir: &Path| {
+        EngineServer::builder()
+            .shards(SHARDS)
+            .workers_per_shard(1)
+            .durable(dir)
+            .build()
+            .expect("open store")
+    };
+    let gate = Arc::new(AtomicBool::new(true));
+    let entered = Arc::new(AtomicU64::new(0));
+    let schema = gated_schema(&gate, &entered);
+    let mut sources = SourceValues::new();
+    sources.set(schema.lookup("s").expect("source"), 7i64);
+    let request = || Request::named("f").sources(sources.clone()).durable(true);
+
+    // First life: ids 0..4 seal through the open gate; 4, 5 and 6 park
+    // one per shard on the shut one. The synced copy is the log of a
+    // process killed with four instances sealed and three pending.
+    let live_dir = scratch("floor-live");
+    let crashed = scratch("floor-crashed");
+    let first = open(&live_dir);
+    first.register("f", Arc::clone(&schema));
+    for result in first
+        .submit_many((0..4).map(|_| request()))
+        .unwrap()
+        .wait_all()
+    {
+        result.expect("sealed before the crash");
+    }
+    gate.store(false, Ordering::SeqCst);
+    let parked = first.submit_many((0..3).map(|_| request())).unwrap();
+    while entered.load(Ordering::SeqCst) < 7 {
+        std::thread::yield_now();
+    }
+    first
+        .store()
+        .expect("durable")
+        .sync()
+        .expect("group commit");
+    copy_store(&live_dir, &crashed);
+    gate.store(true, Ordering::SeqCst);
+    for result in parked.wait_all() {
+        result.expect("first life completes");
+    }
+    drop(first);
+    let _ = std::fs::remove_dir_all(&live_dir);
+
+    let server = open(&crashed);
+    let recovered = server.store().expect("durable").recovered().clone();
+    let mut on_file: Vec<u64> = recovered
+        .sealed
+        .iter()
+        .map(|s| s.instance_id)
+        .chain(recovered.pending.iter().map(|p| p.request.instance_id))
+        .collect();
+    on_file.sort_unstable();
+    assert_eq!(on_file, (0..7).collect::<Vec<u64>>());
+    assert_eq!(recovered.pending.len(), 3);
+    let floor = recovered.next_instance_id;
+    assert_eq!(floor, 7, "one past the highest id on file");
+
+    server.register("f", Arc::clone(&schema));
+    let fresh = server.submit(request()).expect("durable submit");
+    assert_eq!(fresh.instance_id(), floor);
+    assert_eq!(fresh.shard(), floor as usize % SHARDS);
+    let requeued = server.recover_pending().expect("recovery re-enqueues");
+    assert_eq!(
+        requeued.iter().map(Ticket::instance_id).collect::<Vec<_>>(),
+        [4, 5, 6],
+        "recovered instances keep their ids"
+    );
+    let more = server.submit_many([request(), request()]).unwrap();
+    assert_eq!(
+        more.iter().map(Ticket::instance_id).collect::<Vec<_>>(),
+        [floor + 1, floor + 2]
+    );
+    for ticket in requeued.into_iter().chain([fresh]).chain(more) {
+        ticket.wait().expect("second life completes");
+    }
+    drop(server);
+
+    let state = store::inspect(&crashed).expect("post-recovery store opens");
+    assert!(state.pending.is_empty(), "nothing left pending");
+    let mut sealed: Vec<u64> = state.sealed.iter().map(|s| s.instance_id).collect();
+    sealed.sort_unstable();
+    assert_eq!(
+        sealed,
+        (0..10).collect::<Vec<u64>>(),
+        "ten ids, no collision"
+    );
+    let report = store::fsck(&crashed).expect("fsck scans");
+    assert!(report.ok(), "fsck after recovery:\n{}", report.to_text());
+    let _ = std::fs::remove_dir_all(&crashed);
+}
+
 fn copy_store(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).expect("create copy dir");
     for entry in std::fs::read_dir(from).expect("read store dir") {

@@ -2,7 +2,7 @@
 //! load exceeds capacity, late-drop accounting is **exact**
 //! (`submitted = completed + late_dropped + abandoned`) and — on the
 //! virtual-time `SimDb` backend — **deterministic per seed**. A small
-//! real-server (`Server` backend) run checks the same identity under
+//! real-server (`EngineServer` backend) run checks the same identity under
 //! true concurrency, with the late drops coming from
 //! `Request::deadline`.
 
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use decision_flows::decisionflow::server::EngineServer;
 use decision_flows::dflowgen::{generate, GeneratedFlow, PatternParams};
-use decision_flows::dflowperf::{Arrival, LoadReport, Server, SimDb, UnitTime, Workload};
+use decision_flows::dflowperf::{Arrival, LoadReport, SimDb, UnitTime, Workload};
 
 fn pattern() -> PatternParams {
     PatternParams {
@@ -145,10 +145,14 @@ fn overload_workload_accounts_on_all_backends() {
         .seed(0xD0_0D)
         .deadline(Duration::from_secs(60))
         .strategy("PCE100".parse().unwrap())
-        .run(&Server(
-            EngineServer::builder().shards(2).workers_per_shard(1),
-        ))
-        .expect("server build");
+        .run(
+            &EngineServer::builder()
+                .shards(2)
+                .workers_per_shard(1)
+                .build()
+                .expect("server build"),
+        )
+        .expect("server run");
     for r in [&unit, &sim, &server] {
         assert_eq!(r.submitted, 40, "{}", r.backend);
         assert!(r.accounts_exactly(), "{}", r.backend);
@@ -162,7 +166,7 @@ fn overload_workload_accounts_on_all_backends() {
     assert!(server.throughput_per_sec > 0.0);
 }
 
-/// Tight real deadlines on the `Server` backend produce late drops
+/// Tight real deadlines on the server backend produce late drops
 /// counted via `Request::deadline` — and the identity still holds.
 #[test]
 fn server_tight_deadline_counts_late_drops() {
@@ -179,10 +183,14 @@ fn server_tight_deadline_counts_late_drops() {
         .seed(7)
         .deadline(Duration::from_millis(25))
         .strategy("PCE0".parse().unwrap())
-        .run(&Server(
-            EngineServer::builder().shards(1).workers_per_shard(1),
-        ))
-        .expect("server build");
+        .run(
+            &EngineServer::builder()
+                .shards(1)
+                .workers_per_shard(1)
+                .build()
+                .expect("server build"),
+        )
+        .expect("server run");
     assert_eq!(r.submitted, 60);
     assert!(r.accounts_exactly());
     assert!(

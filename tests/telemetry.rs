@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use decision_flows::dflowgen::{generate, GeneratedFlow, PatternParams};
-use decision_flows::dflowperf::{Arrival, OnServer, Server, Workload};
+use decision_flows::dflowperf::{Arrival, Workload};
 use decision_flows::prelude::*;
 use decisionflow::telemetry::{bucket_index, bucket_upper, LatencyHistogram};
 use proptest::prelude::*;
@@ -65,9 +65,13 @@ fn workload_report_decomposes_latency_into_stages() {
         .instances(160)
         .warmup(0)
         .strategy("PSE100".parse().unwrap())
-        .run(&Server(
-            EngineServer::builder().shards(2).workers_per_shard(2),
-        ))
+        .run(
+            &EngineServer::builder()
+                .shards(2)
+                .workers_per_shard(2)
+                .build()
+                .unwrap(),
+        )
         .expect("workload run");
     assert_eq!(report.completed, 160);
     let side = report.server.as_ref().expect("server extras");
@@ -282,8 +286,8 @@ fn spans_record_completions_with_consistent_timings() {
     }
 }
 
-/// A workload driven at a caller-owned server (`OnServer`) feeds the
-/// same telemetry the caller's own handle sees.
+/// A workload driven at a caller-owned server feeds the same telemetry
+/// the caller's own handle sees.
 #[test]
 fn on_server_backend_feeds_the_callers_telemetry() {
     let server = EngineServer::builder()
@@ -301,7 +305,7 @@ fn on_server_backend_feeds_the_callers_telemetry() {
         .instances(64)
         .warmup(0)
         .strategy("PCE100".parse().unwrap())
-        .run(&OnServer::new(&server))
+        .run(&server)
         .expect("workload run");
     assert_eq!(report.completed, 64);
     let snap = telemetry.snapshot();
