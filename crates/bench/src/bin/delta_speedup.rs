@@ -32,42 +32,18 @@
 //! [`Arrival::Resubmission`]: dflowperf::Arrival::Resubmission
 //! [`with_unit_delay`]: dflowgen::GeneratedFlow::with_unit_delay
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use decisionflow::engine::Strategy;
 use decisionflow::prelude::{Expr, SchemaBuilder, SourceValues, Task, Value};
 use decisionflow::server::EngineServer;
-use dflow_bench::harness::{f1, f2, ResultTable};
+use dflow_bench::harness::{f1, f2, parse_args, ResultTable};
 use dflowgen::{GeneratedFlow, PatternParams};
 use dflowperf::{Arrival, Workload};
 
 /// Smoke floor: warm goodput over cold goodput.
 const MIN_SPEEDUP: f64 = 3.0;
-
-struct Args {
-    smoke: bool,
-    json: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut smoke = false;
-    let mut json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => {
-                json = Some(PathBuf::from(
-                    args.next().expect("--json needs a file path"),
-                ))
-            }
-            other => panic!("unknown flag {other:?} (expected --smoke / --json PATH)"),
-        }
-    }
-    Args { smoke, json }
-}
 
 /// `arms` independent source→chain arms of `depth` tasks each, joined
 /// by one synthesis target — the multi-input shape where a one-source
@@ -116,7 +92,7 @@ fn armed_flow(arms: usize, depth: usize, cost: u64) -> GeneratedFlow {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(false);
     let (arms, depth, clients, waves) = if args.smoke {
         (8, 2, 4, 8)
     } else {

@@ -32,11 +32,10 @@
 //! * `--json PATH` — additionally emit the graph (e) table as a
 //!   `BENCH_*.json` snapshot for the CI job summary.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use decisionflow::server::EngineServer;
-use dflow_bench::harness::{f1, ResultTable};
+use dflow_bench::harness::{f1, parse_args, Args, ResultTable};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
 use dflowperf::{
     guideline_for_pattern, max_work_for_throughput, portfolio, solve_unit_time,
@@ -44,31 +43,8 @@ use dflowperf::{
 };
 use simdb::{measure_db_function, measure_db_function_open, DbConfig};
 
-struct Args {
-    smoke: bool,
-    json: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut smoke = false;
-    let mut json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => {
-                json = Some(PathBuf::from(
-                    args.next().expect("--json needs a file path"),
-                ))
-            }
-            other => panic!("unknown flag {other:?} (expected --smoke / --json PATH)"),
-        }
-    }
-    Args { smoke, json }
-}
-
 fn main() {
-    let args = parse_args();
+    let args = parse_args(false);
     if !args.smoke {
         full_figure();
     }

@@ -40,46 +40,12 @@
 //!   text exposition format (the CI bench-smoke job publishes it as
 //!   an artifact).
 
-use std::path::PathBuf;
-
 use decisionflow::engine::Strategy;
 use decisionflow::server::EngineServer;
 use decisionflow::telemetry::{HistogramSnapshot, TelemetrySnapshot};
-use dflow_bench::harness::{f1, f2, ResultTable};
+use dflow_bench::harness::{f1, f2, parse_args, ResultTable};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
 use dflowperf::{Arrival, Workload};
-
-struct Args {
-    smoke: bool,
-    json: Option<PathBuf>,
-    prom: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut smoke = false;
-    let mut json = None;
-    let mut prom = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => {
-                json = Some(PathBuf::from(
-                    args.next().expect("--json needs a file path"),
-                ))
-            }
-            "--prom" => {
-                prom = Some(PathBuf::from(
-                    args.next().expect("--prom needs a file path"),
-                ))
-            }
-            other => {
-                panic!("unknown flag {other:?} (expected --smoke / --json PATH / --prom PATH)")
-            }
-        }
-    }
-    Args { smoke, json, prom }
-}
 
 /// Smoke floor: 4-shard throughput over 1-shard throughput, per
 /// strategy. Ideal is 4×; flat scaling reads ≈ 1×.
@@ -90,7 +56,7 @@ const MIN_SCALING: f64 = 2.5;
 const STAGES: [&str; 5] = ["route", "validate", "queue_wait", "execute", "e2e"];
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(true);
     let params = PatternParams {
         nb_nodes: 32,
         nb_rows: 4,

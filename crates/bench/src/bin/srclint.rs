@@ -49,9 +49,8 @@ fn repo_root() -> PathBuf {
 /// appender lane.
 fn hot_path_files(root: &Path) -> Vec<PathBuf> {
     let src = root.join("crates/decisionflow/src");
-    // api.rs carries the per-shard event-lane hot path (publish runs
-    // on every submission and completion), so it lints at hot-path
-    // strictness.
+    // api.rs carries the event hub, whose publish runs on every
+    // submission and completion, so it lints at hot-path strictness.
     let mut files = vec![src.join("server.rs"), src.join("api.rs")];
     for dir in ["server", "engine", "store", "statestore"] {
         let dir = src.join(dir);

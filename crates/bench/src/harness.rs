@@ -1,7 +1,44 @@
-//! Shared experiment plumbing: table printing and CSV emission.
+//! Shared experiment plumbing: table printing, CSV emission and the
+//! command line of the gated sweeps.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// Command line of the gated sweeps (`shard_scaling`, `delta_speedup`,
+/// `fig9b`).
+#[derive(Default)]
+pub struct Args {
+    /// `--smoke`: the reduced, CI-sized run, with its floors asserted.
+    pub smoke: bool,
+    /// `--json PATH`: also write the result table as a JSON snapshot.
+    pub json: Option<PathBuf>,
+    /// `--prom PATH`: also write the last run's telemetry in Prometheus
+    /// text exposition format.
+    pub prom: Option<PathBuf>,
+}
+
+/// Parse `--smoke`, `--json PATH` and — for the one sweep that writes
+/// it, `with_prom` — `--prom PATH`. Panics on anything else.
+pub fn parse_args(with_prom: bool) -> Args {
+    let mut parsed = Args::default();
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut path = || match args.next() {
+            Some(path) => Some(PathBuf::from(path)),
+            None => panic!("{flag} needs a file path"),
+        };
+        match flag.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--json" => parsed.json = path(),
+            "--prom" if with_prom => parsed.prom = path(),
+            other => panic!(
+                "unknown flag {other:?} (expected --smoke / --json PATH{})",
+                if with_prom { " / --prom PATH" } else { "" }
+            ),
+        }
+    }
+    parsed
+}
 
 /// A simple column-oriented results table that prints aligned text and
 /// writes CSV next to the experiment outputs.

@@ -26,11 +26,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use decisionflow::analysis::{self, Code, Finding, Report, Severity};
-use decisionflow::dsl::{parse_schema, ExternRegistry};
+use decisionflow::dsl::parse_schema;
 use decisionflow::expr::Expr;
 use decisionflow::schema::Schema;
-use decisionflow::value::Value;
-use dflow_corpus::{default_dir, default_matrix, EntryManifest};
+use dflow_corpus::{default_dir, default_matrix, stub_externs, EntryManifest};
 use dflowgen::generate;
 use serde::Serialize;
 
@@ -204,20 +203,6 @@ fn lint_matrix(seed: Option<u64>, kill: Option<&str>) -> Result<Vec<UnitReport>,
         });
     }
     Ok(units)
-}
-
-/// Stub every `extern <fn>` mentioned in the DSL text so lint does not
-/// depend on the host program's registry — the analyzer never calls
-/// task bodies.
-fn stub_externs(text: &str) -> ExternRegistry {
-    let mut reg = ExternRegistry::new();
-    let words: Vec<&str> = text.split_whitespace().collect();
-    for w in words.windows(2) {
-        if w[0] == "extern" {
-            reg.register(w[1], |_: &[Value]| Value::Null);
-        }
-    }
-    reg
 }
 
 fn lint_dsl(files: &[PathBuf]) -> Result<Vec<UnitReport>, String> {

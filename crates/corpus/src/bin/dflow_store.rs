@@ -30,10 +30,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use decisionflow::dsl::{parse_schema, ExternRegistry};
+use decisionflow::dsl::parse_schema;
 use decisionflow::journal::ReplayEngine;
 use decisionflow::store::{self, SealOutcome};
-use decisionflow::value::Value;
+use dflow_corpus::stub_externs;
 
 struct Args {
     command: String,
@@ -201,22 +201,6 @@ fn replay(args: &Args) -> Result<ExitCode, String> {
             Ok(ExitCode::FAILURE)
         }
     }
-}
-
-/// Null-returning stand-ins for `extern` task bodies, so DSL schemas
-/// parse without the host program's registry. A replayed journal
-/// whose flow calls externs will report a value divergence at the
-/// first extern completion — real bodies are needed for a faithful
-/// re-execution.
-fn stub_externs(text: &str) -> ExternRegistry {
-    let mut reg = ExternRegistry::new();
-    let words: Vec<&str> = text.split_whitespace().collect();
-    for w in words.windows(2) {
-        if w[0] == "extern" {
-            reg.register(w[1], |_: &[Value]| Value::Null);
-        }
-    }
-    reg
 }
 
 fn compact(args: &Args) -> Result<ExitCode, String> {

@@ -39,9 +39,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use decisionflow::api::Request;
+use decisionflow::dsl::ExternRegistry;
 use decisionflow::engine::Strategy;
 use decisionflow::journal::{read_journal, schema_fingerprint, Frame, Journal, ReplayEngine};
 use decisionflow::statestore::InstanceSnapshot;
+use decisionflow::value::Value;
 use dflowgen::{generate, GeneratedFlow, PatternParams};
 use serde::{Deserialize, Serialize};
 
@@ -665,4 +667,20 @@ pub fn bless(dir: &Path, specs: &[EntrySpec]) -> Result<BlessSummary, CorpusErro
 /// directory (the repository root in CI).
 pub fn default_dir() -> PathBuf {
     PathBuf::from("corpus")
+}
+
+/// Null-returning stand-ins for every `extern <fn>` the DSL text
+/// mentions, so `dflow-lint` and `dflow-store replay` parse a schema
+/// without the host program's registry. The analyzer never calls task
+/// bodies; a replayed journal whose flow calls externs reports a value
+/// divergence at the first extern completion.
+pub fn stub_externs(text: &str) -> ExternRegistry {
+    let mut reg = ExternRegistry::new();
+    let words: Vec<&str> = text.split_whitespace().collect();
+    for w in words.windows(2) {
+        if w[0] == "extern" {
+            reg.register(w[1], |_: &[Value]| Value::Null);
+        }
+    }
+    reg
 }

@@ -23,10 +23,9 @@
 //! * [`EngineServer::subscribe`] — a bounded [`ServerEvents`] stream
 //!   of [`InstanceEvent`]s (`Submitted` / `Completed` / `Abandoned`,
 //!   each stamped with its shard and a per-shard-monotone logical
-//!   clock). Internally each shard publishes into its own event lane
-//!   and a subscriber merges the per-shard rings, so completions on
-//!   different shards never contend one channel; pollers react to
-//!   completions instead of spinning on `try_wait`.
+//!   clock): one bounded queue per subscriber that drops, and counts,
+//!   what does not fit, so pollers react to completions instead of
+//!   spinning on `try_wait` and no subscriber can stall a shard.
 //!
 //! Every server submission is also metered: the hot path records
 //! per-stage latencies into the shard-local histograms of
@@ -41,13 +40,11 @@
 //! [`InstanceResult`]: crate::server::InstanceResult
 //! [`InstanceResult::journal`]: crate::server::InstanceResult::journal
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 
 use crate::engine::{
@@ -194,9 +191,8 @@ impl Request {
     /// every member of a batch. The engine never cancels launched work (queries are
     /// committed once sent, exactly as the paper's Work measure
     /// assumes); the deadline bounds *waiting*, not execution: it is
-    /// carried onto the [`Ticket`], where [`Ticket::wait_budgeted`]
-    /// honors it directly and [`Ticket::deadline`] exposes it for
-    /// pacers composing their own waits.
+    /// carried onto the [`Ticket`], where [`Ticket::deadline`] exposes
+    /// it for [`Ticket::wait_deadline`].
     pub fn deadline(mut self, budget: Duration) -> Request {
         self.deadline = Some(budget);
         self
@@ -572,18 +568,6 @@ impl Ticket {
     pub fn wait_deadline(&self, deadline: Instant) -> Result<Option<InstanceResult>, ServerGone> {
         timed(self.rx.recv_deadline(deadline))
     }
-
-    /// Wait bounded by the request's own budget: with a
-    /// [`Request::deadline`] set this is
-    /// `wait_deadline(self.deadline().unwrap())`; without one it
-    /// blocks until delivery (and then can only return `Ok(Some(_))`
-    /// or `Err(ServerGone)`).
-    pub fn wait_budgeted(&self) -> Result<Option<InstanceResult>, ServerGone> {
-        match self.deadline {
-            Some(deadline) => self.wait_deadline(deadline),
-            None => polled(self.rx.recv().map_err(|_| TryRecvError::Disconnected)),
-        }
-    }
 }
 
 /// The handle returned by [`EngineServer::submit_many`]: one
@@ -591,10 +575,9 @@ impl Ticket {
 /// [`wait_all`](TicketBatch::wait_all) so callers stop hand-rolling
 /// loops over `Vec<Ticket>`.
 ///
-/// Per-ticket access stays available — [`TicketBatch::iter`] (and
-/// `IntoIterator`) visit the tickets in submission order, and
-/// [`TicketBatch::into_tickets`] dissolves the batch into its
-/// `Vec<Ticket>`.
+/// Per-ticket access stays available — [`TicketBatch::iter`] and
+/// `IntoIterator` (by reference or by value) visit the tickets in
+/// submission order.
 ///
 /// [`EngineServer::submit_many`]: crate::server::EngineServer::submit_many
 pub struct TicketBatch {
@@ -619,11 +602,6 @@ impl TicketBatch {
     /// Iterate the per-request [`Ticket`]s, in submission order.
     pub fn iter(&self) -> std::slice::Iter<'_, Ticket> {
         self.tickets.iter()
-    }
-
-    /// Dissolve the batch into its tickets, in submission order.
-    pub fn into_tickets(self) -> Vec<Ticket> {
-        self.tickets
     }
 
     /// Block until **every** instance in the batch completes; results
@@ -679,9 +657,7 @@ pub struct LiveInstance {
 /// Lifecycle notification for one instance, stamped with a logical
 /// clock that is **unique server-wide and strictly increasing within
 /// each shard**: a subscriber sees any one shard's events in clock
-/// order, but events from different shards arrive merged without a
-/// global order (the shards share no synchronization on the hot
-/// path — that independence is where the scaling comes from).
+/// order; no order is promised between events of different shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InstanceEvent {
     /// The instance entered its shard's live table.
@@ -748,258 +724,123 @@ impl InstanceEvent {
     }
 }
 
-/// One subscriber's bounded ring for one shard's events: the
-/// publishing shard pushes under the ring's own lock, the merged
-/// [`ServerEvents`] handle pops. Two shards publishing to the same
-/// subscriber touch two different rings — no shared lock.
-struct SubQueue {
-    buf: Mutex<VecDeque<InstanceEvent>>,
-    capacity: usize,
-}
-
-impl SubQueue {
-    /// Push one event; `false` means the ring is full and the event
-    /// is lost for this subscriber.
-    fn push(&self, event: InstanceEvent) -> bool {
-        let mut buf = self.buf.lock();
-        if buf.len() >= self.capacity {
-            return false;
-        }
-        buf.push_back(event);
-        true
-    }
-
-    fn pop(&self) -> Option<InstanceEvent> {
-        self.buf.lock().pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.buf.lock().len()
-    }
-}
-
-/// One subscriber's registration in one shard's event lane.
-struct LaneSub {
-    queue: Arc<SubQueue>,
-    /// Coalescing wake-up: capacity-1 channel shared by every lane of
-    /// the subscriber. `try_send` after publishing either lands a
-    /// token or finds one already pending — either way the consumer
-    /// wakes and re-polls all lanes.
-    wake: Sender<()>,
+/// One subscriber's registration in the hub: the sending half of its
+/// bounded queue and the loss counter it shares with the handle.
+struct Sub {
+    tx: Sender<InstanceEvent>,
     dropped: Arc<AtomicU64>,
-    closed: Arc<AtomicBool>,
 }
 
-/// One shard's event lane: the only publish-side state this shard
-/// ever touches, so publishing never contends with other shards.
-struct EventLane {
-    subs: Mutex<Vec<LaneSub>>,
-}
-
-/// Server-side event fan-out, sharded: shard `i` publishes only into
-/// `lanes[i]`, and a subscriber owns one bounded ring per lane. The
-/// shards and instances hold one [`Arc<EventHub>`] and publish
-/// through it. With no subscribers the publish path is a single
-/// relaxed atomic load.
+/// Server-side event fan-out: one bounded queue per subscriber, fed
+/// under one lock. The shards and instances hold one [`Arc<EventHub>`]
+/// and publish through it; with no subscribers the publish path is a
+/// single relaxed atomic load.
 pub(crate) struct EventHub {
-    lanes: Vec<EventLane>,
-    /// Global tie-free event counter; assignment is serialized per
-    /// lane (under the lane lock), so clocks are unique server-wide
-    /// and strictly increasing within any one lane.
+    subs: Mutex<Vec<Sub>>,
+    /// Event counter, stamped under the `subs` lock: clocks are unique
+    /// and every subscriber sees them in increasing order.
     clock: AtomicU64,
     /// Live subscriber count, shared with every [`ServerEvents`] so a
     /// dropped subscriber deactivates publishing without a hub
     /// back-reference.
     live_subs: Arc<AtomicUsize>,
+    /// Shard count: a subscriber's queue holds its capacity per shard.
+    lanes: usize,
 }
 
 impl EventHub {
-    /// A hub with one event lane per shard.
+    /// A hub for a server of `lanes` shards.
     pub(crate) fn new(lanes: usize) -> EventHub {
         EventHub {
-            lanes: (0..lanes.max(1))
-                .map(|_| EventLane {
-                    subs: Mutex::new(Vec::new()),
-                })
-                .collect(),
+            subs: Mutex::new(Vec::new()),
             clock: AtomicU64::new(0),
             live_subs: Arc::new(AtomicUsize::new(0)),
+            lanes: lanes.max(1),
         }
     }
 
-    /// Publish one event on `shard`'s lane: one lane lock acquisition
-    /// and one wake-up per subscriber. A full subscriber ring loses
-    /// the event (its `dropped` counter ticks); a closed subscriber is
-    /// pruned.
-    pub(crate) fn publish(&self, shard: usize, make: impl FnOnce(u64) -> InstanceEvent) {
+    /// Publish one event to every subscriber without ever blocking: a
+    /// full queue loses the event for that subscriber (its `dropped`
+    /// counter ticks); a subscriber whose handle is gone is pruned.
+    pub(crate) fn publish(&self, make: impl FnOnce(u64) -> InstanceEvent) {
         if self.live_subs.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let lane = &self.lanes[shard % self.lanes.len()];
-        let mut subs = lane.subs.lock();
-        subs.retain(|s| !s.closed.load(Ordering::Relaxed));
-        if subs.is_empty() {
-            return;
-        }
-        // Clock assignment happens under the lane lock, so every
-        // subscriber observes this lane's clocks in strictly
-        // increasing order; across lanes clocks are unique but
-        // deliberately unordered.
-        let clock = self.clock.fetch_add(1, Ordering::Relaxed);
-        let event = make(clock);
-        for s in subs.iter() {
-            if !s.queue.push(event.clone()) {
+        let mut subs = self.subs.lock();
+        let event = make(self.clock.fetch_add(1, Ordering::Relaxed));
+        subs.retain(|s| match s.tx.try_send(event.clone()) {
+            Ok(()) => true,
+            Err(TrySendError::Full(_)) => {
                 s.dropped.fetch_add(1, Ordering::Relaxed);
+                true
             }
-            let _ = s.wake.try_send(());
-        }
+            Err(TrySendError::Disconnected(_)) => false,
+        });
     }
 
-    /// Attach a subscriber: one `capacity`-bounded ring per shard
-    /// lane, merged by the returned [`ServerEvents`].
+    /// Attach a subscriber whose queue holds `capacity` events per
+    /// shard.
     pub(crate) fn subscribe(&self, capacity: usize) -> ServerEvents {
-        let (wake_tx, wake_rx) = bounded(1);
+        let (tx, rx) = bounded(capacity.max(1).saturating_mul(self.lanes));
         let dropped = Arc::new(AtomicU64::new(0));
-        let closed = Arc::new(AtomicBool::new(false));
-        let mut queues = Vec::with_capacity(self.lanes.len());
-        for lane in &self.lanes {
-            let queue = Arc::new(SubQueue {
-                buf: Mutex::new(VecDeque::new()),
-                capacity: capacity.max(1),
-            });
-            lane.subs.lock().push(LaneSub {
-                queue: Arc::clone(&queue),
-                wake: wake_tx.clone(),
-                dropped: Arc::clone(&dropped),
-                closed: Arc::clone(&closed),
-            });
-            queues.push(queue);
-        }
+        self.subs.lock().push(Sub {
+            tx,
+            dropped: Arc::clone(&dropped),
+        });
         self.live_subs.fetch_add(1, Ordering::Relaxed);
         ServerEvents {
-            lanes: queues,
-            wake: wake_rx,
+            rx,
             dropped,
-            closed,
             live_subs: Arc::clone(&self.live_subs),
-            cursor: Cell::new(0),
         }
     }
 }
 
 /// A bounded subscription to a server's [`InstanceEvent`] stream,
-/// created by [`EngineServer::subscribe`]: one bounded ring per shard
-/// lane, merged round-robin on receive.
+/// created by [`EngineServer::subscribe`].
 ///
-/// The rings are bounded so a slow consumer can never wedge the
-/// server: when a shard's ring is full, that shard's new events are
-/// *dropped* for this subscriber (counted by [`ServerEvents::dropped`])
-/// rather than blocking the execution hot path. Any one shard's
-/// events arrive in that shard's clock order; events from different
-/// shards interleave without a global order. Receives share the
-/// ticket-wait contract: `Ok(Some(_))` delivers, `Ok(None)` means
-/// nothing yet, `Err(ServerGone)` means the server (and every
-/// in-flight instance) is gone and the stream is drained.
+/// The queue is bounded so a slow consumer can never wedge the
+/// server: when it is full, new events are *dropped* for this
+/// subscriber (counted by [`ServerEvents::dropped`]) rather than
+/// blocking the execution hot path. Any one shard's events arrive in
+/// that shard's clock order. Receives share the ticket-wait contract:
+/// `Ok(Some(_))` delivers, `Ok(None)` means nothing yet,
+/// `Err(ServerGone)` means the server (and every in-flight instance)
+/// is gone and the stream is drained.
 ///
 /// [`EngineServer::subscribe`]: crate::server::EngineServer::subscribe
 pub struct ServerEvents {
-    lanes: Vec<Arc<SubQueue>>,
-    wake: Receiver<()>,
+    rx: Receiver<InstanceEvent>,
     dropped: Arc<AtomicU64>,
-    closed: Arc<AtomicBool>,
     live_subs: Arc<AtomicUsize>,
-    /// Round-robin merge position, so one busy shard cannot starve
-    /// the others' lanes.
-    cursor: Cell<usize>,
 }
 
 impl std::fmt::Debug for ServerEvents {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerEvents")
-            .field(
-                "buffered",
-                &self.lanes.iter().map(|q| q.len()).sum::<usize>(),
-            )
-            .field("lanes", &self.lanes.len())
+            .field("buffered", &self.rx.len())
             .field("dropped", &self.dropped())
             .finish_non_exhaustive()
     }
 }
 
 impl ServerEvents {
-    /// Pop the next buffered event, scanning lanes round-robin from
-    /// the cursor.
-    fn poll(&self) -> Option<InstanceEvent> {
-        let n = self.lanes.len();
-        let start = self.cursor.get();
-        for k in 0..n {
-            let i = (start + k) % n;
-            if let Some(ev) = self.lanes[i].pop() {
-                self.cursor.set((i + 1) % n);
-                return Some(ev);
-            }
-        }
-        None
-    }
-
     /// Block until the next event arrives.
     pub fn recv(&self) -> Result<InstanceEvent, ServerGone> {
-        loop {
-            if let Some(ev) = self.poll() {
-                return Ok(ev);
-            }
-            if self.wake.recv().is_err() {
-                // Hub gone: every publisher dropped its wake sender,
-                // but events they pushed first are still buffered —
-                // drain those before reporting the stream dead.
-                return self.poll().ok_or(ServerGone);
-            }
-        }
+        self.rx.recv().map_err(|_| ServerGone)
     }
 
     /// Non-blocking poll; `Ok(None)` = nothing pending right now.
     pub fn try_recv(&self) -> Result<Option<InstanceEvent>, ServerGone> {
-        loop {
-            if let Some(ev) = self.poll() {
-                return Ok(Some(ev));
-            }
-            match self.wake.try_recv() {
-                Ok(()) => continue,
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => {
-                    return match self.poll() {
-                        Some(ev) => Ok(Some(ev)),
-                        None => Err(ServerGone),
-                    }
-                }
-            }
-        }
+        polled(self.rx.try_recv())
     }
 
     /// Block at most `timeout`; `Ok(None)` = the wait elapsed quietly.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<InstanceEvent>, ServerGone> {
-        let deadline = match Instant::now().checked_add(timeout) {
-            Some(d) => d,
-            None => return self.recv().map(Some),
-        };
-        loop {
-            if let Some(ev) = self.poll() {
-                return Ok(Some(ev));
-            }
-            match self.wake.recv_deadline(deadline) {
-                Ok(()) => continue,
-                Err(RecvTimeoutError::Timeout) => return Ok(self.poll()),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return match self.poll() {
-                        Some(ev) => Ok(Some(ev)),
-                        None => Err(ServerGone),
-                    }
-                }
-            }
-        }
+        timed(self.rx.recv_timeout(timeout))
     }
 
-    /// Events lost to this subscriber because a shard ring was full.
+    /// Events lost to this subscriber because its queue was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -1007,10 +848,9 @@ impl ServerEvents {
 
 impl Drop for ServerEvents {
     fn drop(&mut self) {
-        // Publishers prune this subscriber lazily on their next
-        // publish; the live counter is what re-arms the fast
-        // no-subscriber exit immediately.
-        self.closed.store(true, Ordering::Relaxed);
+        // Publishers prune this subscriber on their next publish; the
+        // live counter is what re-arms the fast no-subscriber exit
+        // immediately.
         self.live_subs.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -1154,7 +994,7 @@ mod tests {
         let tight = hub.subscribe(1);
         let roomy = hub.subscribe(16);
         for i in 0..3 {
-            hub.publish(0, |clock| InstanceEvent::Completed {
+            hub.publish(|clock| InstanceEvent::Completed {
                 clock,
                 instance_id: i,
                 shard: 0,
@@ -1169,12 +1009,32 @@ mod tests {
         assert_eq!(tight.try_recv().unwrap().unwrap().clock(), 0);
 
         drop(tight);
-        hub.publish(0, |clock| InstanceEvent::Completed {
+        hub.publish(|clock| InstanceEvent::Completed {
             clock,
             instance_id: 9,
             shard: 0,
         });
-        assert_eq!(hub.lanes[0].subs.lock().len(), 1, "closed sub pruned");
+        assert_eq!(hub.subs.lock().len(), 1, "closed sub pruned");
+    }
+
+    #[test]
+    fn hub_buffers_capacity_per_shard_whichever_shard_publishes() {
+        // 3 events per shard on a 4-shard server: one shard alone may
+        // fill all 12 slots; the 13th event is lost and counted.
+        let hub = EventHub::new(4);
+        let events = hub.subscribe(3);
+        for i in 0..13 {
+            hub.publish(|clock| InstanceEvent::Completed {
+                clock,
+                instance_id: i,
+                shard: 2,
+            });
+        }
+        assert_eq!(events.dropped(), 1);
+        let got: Vec<u64> = std::iter::from_fn(|| events.try_recv().unwrap())
+            .map(|ev| ev.instance_id())
+            .collect();
+        assert_eq!(got, (0..12).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1186,7 +1046,7 @@ mod tests {
         // once, with nothing dropped.
         for round in 0..8u64 {
             for shard in 0..4usize {
-                hub.publish(shard, |clock| InstanceEvent::Completed {
+                hub.publish(|clock| InstanceEvent::Completed {
                     clock,
                     instance_id: round * 4 + shard as u64,
                     shard,
@@ -1219,7 +1079,7 @@ mod tests {
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(30));
                 for i in 0..3u64 {
-                    hub.publish(1, |clock| InstanceEvent::Completed {
+                    hub.publish(|clock| InstanceEvent::Completed {
                         clock,
                         instance_id: i,
                         shard: 1,
@@ -1227,9 +1087,8 @@ mod tests {
                 }
             })
         };
-        // recv blocks until the first wake token lands; once the
-        // publisher is done the rest drain whether or not their
-        // (coalescing) tokens are still pending.
+        // recv blocks until the first event lands; once the
+        // publisher is done the rest drain.
         let first = events.recv().expect("event arrives");
         assert_eq!(first.shard(), 1);
         publisher.join().expect("publisher thread");
@@ -1256,7 +1115,7 @@ mod tests {
         assert_eq!(batch.iter().count(), 0);
         assert_eq!((&batch).into_iter().count(), 0);
         assert!(format!("{batch:?}").contains("TicketBatch"));
-        let tickets: Vec<Ticket> = batch.into_tickets();
+        let tickets: Vec<Ticket> = batch.into_iter().collect();
         assert!(tickets.is_empty());
         let batch = TicketBatch::new(tickets);
         let all = batch.wait_all();

@@ -12,11 +12,10 @@
 //!    │ instances │  │ instances │  │ instances │  live-instance slice
 //!    │ workers   │  │ workers   │  │ workers   │  private thread pool
 //!    │ arena     │  │ arena     │  │ arena     │  runtime scratch pool
-//!    │ event lane│  │ event lane│  │ event lane│  per-shard event ring
 //!    └───────────┘  └───────────┘  └───────────┘
 //!          ├── shard registry   ──▶ ServerStats   (lifecycle counters, typed)
 //!          ├── (same registry)  ──▶ Telemetry     (Prometheus/JSON snapshot)
-//!          └── per-shard lanes  ──▶ ServerEvents  (merging subscriber)
+//!          └── event hub        ──▶ ServerEvents  (one bounded queue per subscriber)
 //! ```
 //!
 //! The engine "works in a multi-thread fashion, so that parallel
@@ -24,7 +23,8 @@
 //! one instance is possible". Flow instances are mutually independent,
 //! so the server shards them across cores **shared-nothing**: once an
 //! instance is admitted, everything up to its completion happens on its
-//! own shard — no cross-shard lock, counter or event channel:
+//! own shard — no cross-shard lock or counter (a subscriber's event
+//! queue, when there is one, is the exception):
 //!
 //! * the **schema repository** is one map behind one lock
 //!   ([`register`] writes it; only the submitting thread reads it, once
@@ -69,10 +69,9 @@
 //!   [`InstanceResult`] carries its own [`StageTimings`], and every
 //!   lifecycle transition is published to [`subscribe`]rs as an
 //!   [`InstanceEvent`];
-//! * lifecycle events are published to a **per-shard event lane** and
-//!   merged by each [`ServerEvents`] subscriber on its own thread —
-//!   completions on different shards never contend on one channel,
-//!   and the event clock is strictly increasing within each shard.
+//! * lifecycle events go to **one bounded queue per subscriber**
+//!   ([`ServerEvents`]): a full queue drops and counts, never blocks,
+//!   and with no subscriber publishing is one atomic load.
 //!
 //! Submission itself is the unified [`Request`] → [`Ticket`] surface
 //! of [`crate::api`]: journaling, per-request strategy overrides,
@@ -256,20 +255,17 @@ struct Instance {
     /// observe completion, which is also what makes the result go out
     /// exactly once.
     runtime: Mutex<InstanceRuntime>,
-    /// The submission-path stages, measured by the admission pipeline
-    /// on the caller's thread; `validate` additionally includes the
-    /// runtime-construction time spent on the worker, folded in before
-    /// the instance is built. `t0` is the zero point of both
-    /// [`InstanceResult::elapsed`] and the `e2e` stage.
-    submit: SubmitTimings,
-    /// When the build job entered the shard's job queue.
-    enqueued_at: Instant,
-    /// When a worker picked the build job up; `enqueued_at →
-    /// dequeued_at` is the `queue_wait` stage.
-    dequeued_at: Instant,
+    /// Entry into `submit` / `submit_many`: the zero point of
+    /// [`InstanceResult::elapsed`], the `e2e` stage and the deadline.
+    t0: Instant,
     /// When the runtime build finished and execution proper began;
     /// `exec_start → completion` is the `execute` stage.
     exec_start: Instant,
+    /// The stages that ended before execution began, each filled where
+    /// it ended: route and validate by the admission pipeline, the
+    /// queue wait (and the build time, counted as validation) by the
+    /// build job. Completion fills the other two on its copy.
+    timings: StageTimings,
     done_tx: Sender<InstanceResult>,
     /// The request's label, forwarded into results and events.
     label: Option<String>,
@@ -317,19 +313,12 @@ impl Instance {
                         .state_store
                         .note_delta(u64::from(retained), u64::from(rt.metrics().launched));
                 }
-                // Stage boundaries: the submission path measured
-                // route/validate (the worker folded its build time
-                // into validate), the build job stamped the
-                // queue-wait and execute starts; completion is now.
                 let now = Instant::now();
+                let elapsed = now.saturating_duration_since(inst.t0);
                 let timings = StageTimings {
-                    route_ns: dur_ns(inst.submit.route),
-                    validate_ns: dur_ns(inst.submit.validate),
-                    queue_wait_ns: dur_ns(
-                        inst.dequeued_at.saturating_duration_since(inst.enqueued_at),
-                    ),
                     execute_ns: dur_ns(now.saturating_duration_since(inst.exec_start)),
-                    e2e_ns: dur_ns(now.saturating_duration_since(inst.submit.t0)),
+                    e2e_ns: dur_ns(elapsed),
+                    ..inst.timings
                 };
                 let deadline_exceeded = inst.deadline.is_some_and(|d| now > d);
                 // Seal both outputs of the recording inside this
@@ -349,7 +338,7 @@ impl Instance {
                 );
                 finished = Some(InstanceResult {
                     record: ExecutionRecord::from_runtime(&rt, 0),
-                    elapsed: now.saturating_duration_since(inst.submit.t0),
+                    elapsed,
                     shard: inst.shard.index,
                     instance_id: inst.id,
                     label: inst.label.clone(),
@@ -378,13 +367,11 @@ impl Instance {
             shard.tele.instance_completed();
             // Publish before sending, so a subscriber that reacts to a
             // delivered result always finds its Completed event.
-            shard
-                .events
-                .publish(shard.index, |clock| InstanceEvent::Completed {
-                    clock,
-                    instance_id: inst.id,
-                    shard: shard.index,
-                });
+            shard.events.publish(|clock| InstanceEvent::Completed {
+                clock,
+                instance_id: inst.id,
+                shard: shard.index,
+            });
             // Ignore send failure: the caller may have dropped the ticket.
             let _ = inst.done_tx.send(result);
             return;
@@ -459,7 +446,10 @@ const SCRATCH_POOL_CAP: usize = 32;
 /// instances push their construction vectors here and the next build
 /// on the same shard pops instead of allocating. Take and put both
 /// happen on the shard's own threads, so the mutex is effectively
-/// uncontended.
+/// uncontended. It buys about a tenth of `cpu_closed`: with `take()`
+/// returning `RuntimeScratch::default()` the benchmark read 24.5k →
+/// 22.0k instances/s and 75 → 85 µs of CPU per instance, the same way
+/// on every one of four alternating pairs (measured for PR 20).
 struct ScratchPool {
     slots: Mutex<Vec<RuntimeScratch>>,
 }
@@ -564,28 +554,12 @@ impl Shard {
         if let Some(wal) = wal {
             wal.seal(SealOutcome::Abandoned);
         }
-        self.events
-            .publish(self.index, |clock| InstanceEvent::Abandoned {
-                clock,
-                instance_id: id,
-                shard: self.index,
-            });
+        self.events.publish(|clock| InstanceEvent::Abandoned {
+            clock,
+            instance_id: id,
+            shard: self.index,
+        });
     }
-}
-
-/// Submission-path stage boundaries, measured by
-/// [`EngineServer::validate`] / [`EngineServer::admit`] and carried
-/// into the [`Instance`] so the completion path can assemble the full
-/// [`StageTimings`].
-struct SubmitTimings {
-    /// Entry into `submit` / `submit_many` — zero point of the `e2e`
-    /// stage and of the request's deadline budget.
-    t0: Instant,
-    /// Validation entry → schema resolved.
-    route: Duration,
-    /// Resolved → request validated, lifecycle record appended
-    /// (durable requests), and runtime built.
-    validate: Duration,
 }
 
 /// The sharded multi-threaded decision-flow execution server.
@@ -606,7 +580,7 @@ pub struct EngineServer {
     /// `id mod N` is the shard. A durable server resumes it above
     /// every id on file.
     next_id: AtomicU64,
-    /// Per-subscriber, per-lane buffer capacity of [`subscribe`]
+    /// Per-subscriber, per-shard buffer capacity of [`subscribe`]
     /// streams ([`ServerBuilder::event_capacity`]).
     ///
     /// [`subscribe`]: EngineServer::subscribe
@@ -836,15 +810,14 @@ impl EngineServer {
     /// Subscribe to the server's [`InstanceEvent`] stream with the
     /// configured buffer capacity
     /// ([`ServerBuilder::event_capacity`]). Events are published on
-    /// every submission, completion, and abandonment to the owning
-    /// shard's lane and merged by the subscriber; clocks are unique
+    /// every submission, completion, and abandonment; clocks are unique
     /// server-wide and strictly increasing within each shard — so
     /// pollers and dashboards can react to completions instead of
     /// spinning on [`Ticket::try_wait`].
     ///
-    /// The per-lane buffers are bounded so a slow subscriber can never
-    /// wedge the server: overflowing events are dropped for that
-    /// subscriber and counted by [`ServerEvents::dropped`].
+    /// The buffer is bounded so a slow subscriber can never wedge the
+    /// server: overflowing events are dropped for that subscriber and
+    /// counted by [`ServerEvents::dropped`].
     pub fn subscribe(&self) -> ServerEvents {
         self.events.subscribe(self.event_capacity)
     }

@@ -69,9 +69,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Per-lane buffer capacity of every [`EngineServer::subscribe`]
-    /// stream (default 1024 events per shard lane). Bounded so a slow
-    /// subscriber can never wedge the server.
+    /// Buffer capacity of every [`EngineServer::subscribe`] stream, per
+    /// shard: a subscriber's queue holds `capacity × shards` events
+    /// (default 1024 per shard). Bounded so a slow subscriber can never
+    /// wedge the server.
     pub fn event_capacity(mut self, capacity: usize) -> ServerBuilder {
         self.event_capacity = capacity;
         self

@@ -12,12 +12,13 @@ use std::time::Instant;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
-use super::{EngineServer, Instance, InstanceResult, Shard, SubmitError, SubmitTimings};
+use super::{dur_ns, EngineServer, Instance, InstanceResult, Shard, SubmitError};
 use crate::api::{build_runtime, DeltaSource, InstanceEvent, Request, Ticket, TicketBatch};
 use crate::engine::Strategy;
 use crate::journal::{bind_sources, schema_fingerprint};
 use crate::schema::Schema;
 use crate::store::{PersistedRequest, StoreEvent, WalRecorder};
+use crate::telemetry::StageTimings;
 
 /// A request that passed [`EngineServer::validate`]: its schema is
 /// resolved and nothing about it can be rejected synchronously any
@@ -25,7 +26,11 @@ use crate::store::{PersistedRequest, StoreEvent, WalRecorder};
 pub(super) struct Validated {
     request: Request,
     schema: Arc<Schema>,
-    timings: SubmitTimings,
+    /// The caller's entry time (see [`EngineServer::validate`]).
+    t0: Instant,
+    /// `route_ns` and `validate_ns` so far; each later stage is filled
+    /// in where it ends.
+    timings: StageTimings,
 }
 
 /// An admitted request waiting for its runtime to be built on the
@@ -41,7 +46,8 @@ struct PendingStart {
     wal: Option<WalRecorder>,
     done_tx: Sender<InstanceResult>,
     deadline: Option<Instant>,
-    timings: SubmitTimings,
+    t0: Instant,
+    timings: StageTimings,
 }
 
 /// Worker-side half of submission: build the instance runtime (reusing
@@ -60,8 +66,10 @@ fn build_and_pump(shard: Arc<Shard>, id: u64, pending: PendingStart, enqueued_at
         wal,
         done_tx,
         deadline,
+        t0,
         mut timings,
     } = pending;
+    timings.queue_wait_ns = dur_ns(build_start.saturating_duration_since(enqueued_at));
     // A delta's prior rides on the request (a claim, checked at
     // validation) or is looked up under the label (a hint: nothing
     // committed yet, or a snapshot another flow left there, degrades
@@ -93,17 +101,17 @@ fn build_and_pump(shard: Arc<Shard>, id: u64, pending: PendingStart, enqueued_at
         shard.abandon(id, wal.as_ref());
         return;
     };
-    let built_at = Instant::now();
-    timings.validate += built_at.saturating_duration_since(build_start);
+    // Construction counts as validation; execution starts here.
+    let exec_start = Instant::now();
+    timings.validate_ns += dur_ns(exec_start.saturating_duration_since(build_start));
     let inst = Arc::new(Instance {
         id,
         shard,
         schema,
         runtime: Mutex::new(runtime),
-        submit: timings,
-        enqueued_at,
-        dequeued_at: build_start,
-        exec_start: built_at,
+        t0,
+        exec_start,
+        timings,
         done_tx,
         label: request.label,
         deadline,
@@ -188,10 +196,11 @@ impl EngineServer {
         Ok(Validated {
             request,
             schema,
-            timings: SubmitTimings {
-                t0,
-                route: routed.saturating_duration_since(entered),
-                validate: validated.saturating_duration_since(routed),
+            t0,
+            timings: StageTimings {
+                route_ns: dur_ns(routed.saturating_duration_since(entered)),
+                validate_ns: dur_ns(validated.saturating_duration_since(routed)),
+                ..StageTimings::default()
             },
         })
     }
@@ -219,6 +228,7 @@ impl EngineServer {
         let Validated {
             request,
             schema,
+            t0,
             mut timings,
         } = validated;
         let shard = self.shard_for(id);
@@ -247,7 +257,7 @@ impl EngineServer {
                 store
                     .append(shard.index, event)
                     .map_err(|e| SubmitError::Store(e.to_string()))?;
-                timings.validate += append_start.elapsed();
+                timings.validate_ns += dur_ns(append_start.elapsed());
                 Some(WalRecorder::new(
                     Arc::clone(store),
                     shard.index,
@@ -258,22 +268,18 @@ impl EngineServer {
         };
         // An unrepresentable deadline (e.g. Duration::MAX budget)
         // saturates to "no deadline" rather than panicking.
-        let deadline = request
-            .deadline
-            .and_then(|budget| timings.t0.checked_add(budget));
+        let deadline = request.deadline.and_then(|budget| t0.checked_add(budget));
         let strategy = request.strategy.unwrap_or(self.strategy);
         let (done_tx, done_rx) = unbounded();
         shard.tele.instance_submitted();
         shard.live.lock().insert(id, request.display_name());
         let label = request.label.clone();
-        shard
-            .events
-            .publish(shard.index, |clock| InstanceEvent::Submitted {
-                clock,
-                instance_id: id,
-                shard: shard.index,
-                label,
-            });
+        shard.events.publish(|clock| InstanceEvent::Submitted {
+            clock,
+            instance_id: id,
+            shard: shard.index,
+            label,
+        });
         let pending = PendingStart {
             request,
             schema,
@@ -281,6 +287,7 @@ impl EngineServer {
             wal: wal.clone(),
             done_tx,
             deadline,
+            t0,
             timings,
         };
         let job_shard = Arc::clone(shard);
@@ -311,8 +318,8 @@ impl EngineServer {
     /// is consumed, nothing is logged, and the first error is returned.
     /// On success the returned [`TicketBatch`] holds the tickets in
     /// submission order — wait on all of them with
-    /// [`TicketBatch::wait_all`], or peel off [`Ticket`]s via
-    /// [`TicketBatch::into_tickets`]. (A WAL lane failing mid-batch
+    /// [`TicketBatch::wait_all`], or peel off [`Ticket`]s by iterating
+    /// it. (A WAL lane failing mid-batch
     /// returns its error with the requests admitted before it already
     /// running; the lane is latched failed, so the server is degraded
     /// anyway.)

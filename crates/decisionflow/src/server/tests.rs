@@ -866,6 +866,36 @@ fn events_disconnect_when_server_drops() {
     );
 }
 
+#[test]
+fn a_stalled_subscriber_loses_events_and_wedges_nothing() {
+    let schema = slow_schema(1);
+    let server = EngineServer::builder()
+        .shards(2)
+        .strategy("PCE100".parse().unwrap())
+        .event_capacity(1)
+        .build()
+        .unwrap();
+    server.register("flow", Arc::clone(&schema));
+    // Subscribed, never read: room for one event per shard.
+    let events = server.subscribe();
+    let mut sv = SourceValues::new();
+    sv.set(schema.lookup("s").unwrap(), 80i64);
+    let batch = server
+        .submit_many((0..300).map(|_| ("flow", sv.clone())))
+        .unwrap();
+    for result in batch.wait_all() {
+        assert!(result.unwrap().record.outcome("t").is_some());
+    }
+    let stats = server.stats();
+    assert!(stats.accounts_exactly());
+    assert_eq!((stats.completed(), stats.in_flight()), (300, 0));
+    assert_eq!(events.dropped(), 600 - 2, "all but the buffered two");
+
+    drop(server);
+    assert!(events.recv().is_ok() && events.recv().is_ok());
+    assert_eq!(events.recv(), Err(ServerGone));
+}
+
 /// Two independent arms into one target, with per-arm execution
 /// counters so tests can assert exactly which task bodies ran.
 fn counted_arm_schema() -> (Arc<Schema>, Arc<AtomicU32>, Arc<AtomicU32>) {

@@ -46,17 +46,6 @@ impl AttrState {
         )
     }
 
-    /// Are all data inputs known stable in this state?
-    ///
-    /// (`Value` implies the task ran, which requires stable inputs;
-    /// `Disabled` does not — a condition can fail before inputs settle.)
-    pub fn is_ready(self) -> bool {
-        matches!(
-            self,
-            AttrState::Ready | AttrState::ReadyEnabled | AttrState::Computed | AttrState::Value
-        )
-    }
-
     /// Has the task body already produced a value (possibly still
     /// speculative)?
     pub fn has_value(self) -> bool {
@@ -152,13 +141,13 @@ mod tests {
 
     #[test]
     fn readiness_and_enabledness_flags() {
-        assert!(ReadyEnabled.is_ready() && ReadyEnabled.is_enabled());
-        assert!(Ready.is_ready() && !Ready.is_enabled());
-        assert!(Enabled.is_enabled() && !Enabled.is_ready());
-        assert!(Computed.is_ready() && Computed.has_value());
-        assert!(Value.has_value() && Value.is_enabled() && Value.is_ready());
+        assert!(ReadyEnabled.is_enabled());
+        assert!(!Ready.is_enabled());
+        assert!(Enabled.is_enabled());
+        assert!(Computed.has_value());
+        assert!(Value.has_value() && Value.is_enabled());
         assert!(!Disabled.has_value());
-        assert!(!Uninitialized.is_ready() && !Uninitialized.is_enabled());
+        assert!(!Uninitialized.is_enabled());
     }
 
     #[test]

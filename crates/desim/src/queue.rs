@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 
-use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 
 /// A job waiting in, or being served by, a service center.
@@ -37,10 +36,7 @@ pub struct ServiceCenter<J> {
     servers: usize,
     busy: usize,
     queue: VecDeque<Waiting<J>>,
-    // statistics
-    pub(crate) util: TimeWeighted,
     completed: u64,
-    total_service: SimTime,
 }
 
 impl<J> ServiceCenter<J> {
@@ -51,9 +47,7 @@ impl<J> ServiceCenter<J> {
             servers,
             busy: 0,
             queue: VecDeque::new(),
-            util: TimeWeighted::new(),
             completed: 0,
-            total_service: SimTime::ZERO,
         }
     }
 
@@ -76,10 +70,8 @@ impl<J> ServiceCenter<J> {
     /// is admitted immediately and the admission (with completion time) is
     /// returned; otherwise the job queues and `None` is returned.
     pub fn submit(&mut self, now: SimTime, job: J, service: SimTime) -> Option<Admission<J>> {
-        self.record(now);
         if self.busy < self.servers {
             self.busy += 1;
-            self.total_service += service;
             Some(Admission {
                 job,
                 completes_at: now + service,
@@ -99,12 +91,10 @@ impl<J> ServiceCenter<J> {
     /// waiting, it is admitted to the freed server and returned so the
     /// caller can schedule its completion event.
     pub fn complete(&mut self, now: SimTime) -> Option<Admission<J>> {
-        self.record(now);
         debug_assert!(self.busy > 0, "completion with no busy server");
         self.completed += 1;
         if let Some(w) = self.queue.pop_front() {
             // Server stays busy, next job starts immediately.
-            self.total_service += w.service;
             Some(Admission {
                 job: w.job,
                 completes_at: now + w.service,
@@ -114,15 +104,6 @@ impl<J> ServiceCenter<J> {
             self.busy -= 1;
             None
         }
-    }
-
-    /// Mean server utilization over virtual time (0..=1).
-    pub fn utilization(&self) -> f64 {
-        self.util.mean() / self.servers as f64
-    }
-
-    fn record(&mut self, now: SimTime) {
-        self.util.observe(now, self.busy as f64);
     }
 }
 
@@ -183,18 +164,6 @@ mod tests {
             next = c.complete(now);
         }
         assert_eq!(order, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn utilization_tracks_busy_fraction() {
-        let mut c: ServiceCenter<&str> = ServiceCenter::new(1);
-        // Busy from 0 to 10ms, idle 10..20ms.
-        c.submit(SimTime::ZERO, "x", SimTime::from_millis(10));
-        c.complete(SimTime::from_millis(10));
-        // Touch statistics at 20ms with an idle observation.
-        c.submit(SimTime::from_millis(20), "y", SimTime::from_millis(1));
-        let u = c.utilization();
-        assert!((u - 0.5).abs() < 1e-9, "utilization {u} != 0.5");
     }
 
     #[test]

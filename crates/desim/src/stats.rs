@@ -50,12 +50,11 @@ impl TimeWeighted {
     }
 }
 
-/// Plain sample statistics: count / mean / min / max (Welford variance).
+/// Plain sample statistics: count / mean / min / max.
 #[derive(Clone, Debug, Default)]
 pub struct Tally {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -76,9 +75,7 @@ impl Tally {
             self.min = self.min.min(x);
             self.max = self.max.max(x);
         }
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Add a `SimTime` sample, in seconds.
@@ -97,15 +94,6 @@ impl Tally {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 for fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
         }
     }
 
@@ -141,7 +129,6 @@ impl Tally {
         let delta = other.mean - self.mean;
         let total = n1 + n2;
         self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -180,7 +167,6 @@ mod tests {
         }
         assert_eq!(t.count(), 8);
         assert!((t.mean() - 5.0).abs() < 1e-12);
-        assert!((t.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(t.min(), 2.0);
         assert_eq!(t.max(), 9.0);
     }
@@ -203,7 +189,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
     }

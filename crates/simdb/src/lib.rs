@@ -29,6 +29,4 @@ mod probe;
 
 pub use config::{DbConfig, ServiceDist};
 pub use db::{DbEvent, QueryCompletion, QueryJob, SimDb};
-pub use probe::{
-    measure_db_function, measure_db_function_open, measure_point, measure_point_open, DbPoint,
-};
+pub use probe::{measure_db_function, measure_db_function_open, measure_point, DbPoint};

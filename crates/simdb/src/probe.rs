@@ -154,7 +154,7 @@ impl Model for OpenLoop {
 /// `gmpl = rate × unit_time`. Open calibration captures the queueing
 /// fluctuations an open decision-flow load actually experiences, which
 /// a constant-population probe understates.
-pub fn measure_point_open(cfg: DbConfig, rate_per_sec: f64, seed: u64) -> DbPoint {
+fn measure_point_open(cfg: DbConfig, rate_per_sec: f64, seed: u64) -> DbPoint {
     assert!(rate_per_sec > 0.0, "rate must be positive");
     use rand::SeedableRng;
     let units = 20_000u64;

@@ -15,8 +15,8 @@
 
 use dflowgen::{generate, PatternParams};
 use dflowperf::{
-    guideline_for_pattern, max_work_for_throughput, portfolio, solve_unit_time_with_lmpl, Arrival,
-    DbFunction, SimDb, Workload,
+    guideline_for_pattern, max_work_for_throughput, portfolio, recommend_program,
+    solve_unit_time_with_lmpl, Arrival, DbFunction, SimDb, Workload,
 };
 use simdb::{measure_db_function_open, DbConfig};
 
@@ -51,7 +51,6 @@ fn main() {
         "      {:<8} {:>7} {:>8} {:>14}",
         "program", "Work", "minT", "predicted(ms)"
     );
-    let mut best: Option<(dflowperf::StrategyPoint, f64)> = None;
     for p in map.frontier() {
         if p.work > bound as f64 {
             println!(
@@ -65,19 +64,13 @@ fn main() {
         }
         let lmpl = (p.work / p.time_units).max(1.0);
         match solve_unit_time_with_lmpl(&db, th, p.work, lmpl).stable_ms() {
-            Some(u) => {
-                let pred = u * p.time_units;
-                println!(
-                    "      {:<8} {:>7.1} {:>8.1} {:>14.0}",
-                    p.strategy.to_string(),
-                    p.work,
-                    p.time_units,
-                    pred
-                );
-                if best.as_ref().is_none_or(|(_, b)| pred < *b) {
-                    best = Some((*p, pred));
-                }
-            }
+            Some(u) => println!(
+                "      {:<8} {:>7.1} {:>8.1} {:>14.0}",
+                p.strategy.to_string(),
+                p.work,
+                p.time_units,
+                u * p.time_units
+            ),
             None => println!(
                 "      {:<8} {:>7.1} {:>8.1} {:>14}",
                 p.strategy.to_string(),
@@ -88,10 +81,14 @@ fn main() {
         }
     }
 
-    let (choice, predicted) = best.expect("at least one feasible program");
+    // An over-budget program saturates Equation (6) with or without
+    // the Lmpl correction, so the feasible rows above are exactly the
+    // ones the recommendation chooses among.
+    let choice = recommend_program(&db, &map, th).expect("at least one feasible program");
+    let predicted = choice.predicted_ms;
     println!(
         "\nrecommendation: run {} (predicted response {:.0} ms at Th={th}/s)",
-        choice.strategy, predicted
+        choice.point.strategy, predicted
     );
 
     eprintln!("\nverifying against the simulated database ...");
@@ -103,7 +100,7 @@ fn main() {
         .instances(300)
         .warmup(60)
         .seed(0xAD)
-        .strategy(choice.strategy)
+        .strategy(choice.point.strategy)
         .run(&SimDb::new(db_cfg))
         .expect("valid workload");
     let m = measured.responses.mean();

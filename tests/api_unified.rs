@@ -354,11 +354,14 @@ fn wait_timeout_under_saturated_pool() {
         "saturated pool: timed wait must expire with Ok(None)"
     );
     // `third` carries its own 10ms budget from the request; with the
-    // pool still saturated, the budgeted wait expires the same way.
+    // pool still saturated, waiting out that deadline expires the
+    // same way.
     assert_eq!(
-        third.wait_budgeted().map(|r| r.is_none()),
+        third
+            .wait_deadline(third.deadline().unwrap())
+            .map(|r| r.is_none()),
         Ok(true),
-        "request deadline bounds the budgeted wait"
+        "request deadline bounds the wait"
     );
     // All three still deliver; the tickets survived the expired waits.
     assert!(first.wait().unwrap().record.outcome("t").is_some());
