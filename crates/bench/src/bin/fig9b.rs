@@ -1,177 +1,31 @@
-//! Figure 9(b): accuracy of the analytic model for finite database
-//! resources — plus the open-load saturation curve against the *real*
-//! sharded server.
+//! Figure 9(b) graph (e): the open-load saturation curve against the
+//! *real* sharded server. Graphs (a)–(d), against the simulated
+//! database, are the committed table `paper/fig9b.txt`
+//! (`dflow_bench::paper`).
 //!
-//! Full mode reproduces the four graphs of the figure for
-//! `nb_rows = 4`, `%enabled = 75` at a throughput of `Th = 10`
-//! instances/second:
-//!
-//! * graph (a): `UnitTime(Work)` from Equation (6) over the measured
-//!   `Db` function;
-//! * graph (b): the guideline map `minT(Work)` with its programs;
-//! * graph (c): predicted response time `minT(W) × UnitTime(W)`;
-//! * graph (d): measured response time of each frontier program under
-//!   Poisson arrivals against the simulated database (the `SimDb`
-//!   backend of the unified `Workload` API).
-//!
-//! The paper reports the prediction within ~10% of the measurement and
-//! `PC*100%` as the optimal program at this operating point.
-//!
-//! Both modes then run **graph (e)**: `Arrival::Poisson` against the
-//! real sharded `EngineServer`, with task costs
-//! mapped onto wall-clock time (`GeneratedFlow::with_unit_delay`) so
-//! worker threads become the finite resource. Offered load sweeps past
-//! capacity; achieved throughput rises monotonically, then saturates,
-//! and instances blowing the per-request `Request::deadline` budget
-//! are tallied as late drops.
+//! `Arrival::Poisson` drives the real sharded `EngineServer`, with task
+//! costs mapped onto wall-clock time (`GeneratedFlow::with_unit_delay`)
+//! so worker threads become the finite resource. Offered load sweeps
+//! past capacity; achieved throughput rises monotonically, then
+//! saturates, and instances blowing the per-request `Request::deadline`
+//! budget are tallied as late drops.
 //!
 //! Flags:
 //!
-//! * `--smoke` — skip the expensive full-figure sweeps and run only a
-//!   reduced graph (e), sized for CI (the `open-load-smoke` job);
-//! * `--json PATH` — additionally emit the graph (e) table as a
-//!   `BENCH_*.json` snapshot for the CI job summary.
+//! * `--smoke` — a reduced sweep sized for CI (the `open-load-smoke`
+//!   job);
+//! * `--json PATH` — additionally emit the table as a `BENCH_*.json`
+//!   snapshot for the CI job summary.
 
 use std::time::Duration;
 
 use decisionflow::server::EngineServer;
-use dflow_bench::harness::{f1, parse_args, Args, ResultTable};
+use dflow_bench::harness::{f1, parse_args, ResultTable};
 use dflowgen::{generate, GeneratedFlow, PatternParams};
-use dflowperf::{
-    guideline_for_pattern, max_work_for_throughput, portfolio, solve_unit_time,
-    solve_unit_time_with_lmpl, Arrival, DbFunction, SimDb, Workload,
-};
-use simdb::{measure_db_function, measure_db_function_open, DbConfig};
+use dflowperf::{Arrival, Workload};
 
 fn main() {
     let args = parse_args(false);
-    if !args.smoke {
-        full_figure();
-    }
-    open_load_vs_real_server(&args);
-}
-
-/// Graphs (a)–(d): the paper's figure against the simulated database.
-fn full_figure() {
-    let db_cfg = DbConfig::default();
-    let params = PatternParams {
-        nb_rows: 4,
-        pct_enabled: 75,
-        ..Default::default()
-    };
-
-    eprintln!("measuring Db function (closed-loop, Figure 9(a)) ...");
-    let db_closed =
-        DbFunction::from_points(&measure_db_function(db_cfg, (1..=40).step_by(2), 0x9B));
-    eprintln!("calibrating Db function (open Poisson unit load) ...");
-    // Open calibration captures the queueing fluctuations an open
-    // decision-flow workload experiences; the closed-loop curve
-    // understates them (documented in EXPERIMENTS.md).
-    let rates: Vec<f64> = (1..=13).map(|i| i as f64 * 30.0).collect();
-    let db = DbFunction::from_points(&measure_db_function_open(db_cfg, rates, 0x9B));
-    let _ = &db_closed;
-
-    // First application of Equation (6): the work bound per throughput.
-    // (The paper: "using the function Db of Figure 9(a) and a given
-    // throughput, this upper bound on Work can be used ... to determine
-    // whether a given throughput can be supported at all".)
-    println!("Equation (6) work bounds (units/instance):");
-    for th in [1.0, 2.0, 2.5, 5.0, 10.0, 20.0] {
-        println!(
-            "  Th={th:>4}/s  max Work = {}",
-            max_work_for_throughput(&db, th, 100_000)
-        );
-    }
-
-    eprintln!("building guideline map (unit-time sweeps)...");
-    let map = guideline_for_pattern(params, &portfolio(&[40, 80, 100]), 15, 0xF1_69B1);
-
-    // Pick the highest throughput (from a coarse grid) that can support
-    // every frontier program of this pattern, with 15% headroom so the
-    // open-loop measurement sits in steady state.
-    let max_work = map.frontier().iter().map(|p| p.work).fold(0.0f64, f64::max);
-    let th = [10.0, 8.0, 6.0, 5.0, 4.0, 3.0, 2.5, 2.0, 1.5, 1.0]
-        .into_iter()
-        .find(|&th| max_work_for_throughput(&db, th, 100_000) as f64 >= max_work * 1.15)
-        .expect("some throughput in the grid is feasible");
-    println!("\npattern needs up to {max_work:.0} units/instance -> operating at Th={th}/s\n");
-
-    let flows: Vec<_> = (0..8)
-        .map(|i| generate(params, 0xF1_69B1 + i).expect("valid pattern"))
-        .collect();
-
-    let mut t = ResultTable::new(
-        format!(
-            "Figure 9(b) — predicted vs measured response time (Th={th}/s, nb_rows=4, %enabled=75)"
-        ),
-        &[
-            "program",
-            "Work",
-            "minT(units)",
-            "UnitTime(ms)",
-            "predicted(ms)",
-            "pred+Lmpl(ms)",
-            "measured(ms)",
-            "err%",
-            "errL%",
-            "mUnit(ms)",
-            "mGmpl",
-        ],
-    );
-    let mut best: Option<(String, f64)> = None;
-    for p in map.frontier() {
-        let unit = solve_unit_time(&db, th, p.work).stable_ms();
-        let predicted = unit.map(|u| u * p.time_units);
-        // Burstiness-corrected prediction (Lmpl = Work / TimeInUnits).
-        let lmpl = (p.work / p.time_units).max(1.0);
-        let predicted_l = solve_unit_time_with_lmpl(&db, th, p.work, lmpl)
-            .stable_ms()
-            .map(|u| u * p.time_units);
-        let measured = Workload::new(flows.clone())
-            .arrivals(Arrival::Poisson { rate: th })
-            .instances(400)
-            .warmup(80)
-            .seed(0x9B)
-            .strategy(p.strategy)
-            .run(&SimDb::new(db_cfg))
-            .expect("valid workload");
-        let sim = measured.sim.expect("simdb stats");
-        let m = measured.responses.mean();
-        let (pred_s, err_s) = match predicted {
-            Some(pr) => (f1(pr), f1(100.0 * (pr - m).abs() / m)),
-            None => ("saturated".to_string(), "-".to_string()),
-        };
-        let (pred_l_s, err_l_s) = match predicted_l {
-            Some(pr) => (f1(pr), f1(100.0 * (pr - m).abs() / m)),
-            None => ("saturated".to_string(), "-".to_string()),
-        };
-        t.row(vec![
-            p.strategy.to_string(),
-            f1(p.work),
-            f1(p.time_units),
-            unit.map(f1).unwrap_or_else(|| "-".into()),
-            pred_s,
-            pred_l_s,
-            f1(m),
-            err_s,
-            err_l_s,
-            f1(sim.mean_unit_time_ms),
-            f1(sim.mean_gmpl),
-        ]);
-        match &best {
-            Some((_, bm)) if *bm <= m => {}
-            _ => best = Some((p.strategy.to_string(), m)),
-        }
-    }
-    t.emit("fig9b.csv");
-    if let Some((s, m)) = best {
-        println!("optimal measured program: {s} at {:.0} ms", m);
-    }
-}
-
-/// Graph (e): the same open-arrival workload shape against the real
-/// sharded server, sweeping offered load past capacity.
-fn open_load_vs_real_server(args: &Args) {
     let params = PatternParams {
         nb_nodes: 16,
         nb_rows: 4,

@@ -43,9 +43,9 @@ pub fn parse_args(with_prom: bool) -> Args {
 /// A simple column-oriented results table that prints aligned text and
 /// writes CSV next to the experiment outputs.
 pub struct ResultTable {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    pub(crate) title: String,
+    pub(crate) headers: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl ResultTable {

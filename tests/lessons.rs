@@ -2,9 +2,12 @@
 //!
 //! These encode the *shape* claims of the evaluation — who wins, and
 //! roughly where — on reduced-size sweeps so they run in test time.
+//! They are a second sample beside the committed figure tables
+//! (`paper/`): their own seed catches a claim that holds only on the
+//! figures' seeds, and some read cells no figure has.
 
 use decision_flows::dflowgen::PatternParams;
-use decision_flows::dflowperf::{pattern_sweep, LoadReport};
+use decision_flows::dflowperf::pattern_sweep;
 use decision_flows::prelude::Strategy;
 
 fn params(pct_enabled: u32) -> PatternParams {
@@ -23,19 +26,14 @@ fn s(v: &str) -> Strategy {
 const REPS: u32 = 12;
 const SEED: u64 = 0x1_E550;
 
-/// One (pattern, strategy) sweep cell on the unified Workload surface.
-fn unit_sweep(params: PatternParams, strategy: Strategy, reps: u32, seed: u64) -> LoadReport {
-    pattern_sweep(params, strategy, reps, seed)
-}
-
 /// Lesson 1: the Propagation Algorithm reduces both response time and
 /// work, with the most significant benefit when the proportion of
 /// disabled nodes is large (> 20%).
 #[test]
 fn lesson1_propagation_reduces_work_most_at_low_enabled() {
     let gain_at = |pct: u32| {
-        let p = unit_sweep(params(pct), s("PCE0"), REPS, SEED);
-        let n = unit_sweep(params(pct), s("NCE0"), REPS, SEED);
+        let p = pattern_sweep(params(pct), s("PCE0"), REPS, SEED);
+        let n = pattern_sweep(params(pct), s("NCE0"), REPS, SEED);
         1.0 - p.mean_work() / n.mean_work()
     };
     let g10 = gain_at(10);
@@ -48,8 +46,8 @@ fn lesson1_propagation_reduces_work_most_at_low_enabled() {
     assert!(g50 > 0.15, "still substantial at 50%: {g50:.2}");
     assert!(g90 >= 0.0 && g90 < g10, "gain shrinks as %enabled grows");
     // And time improves too (sequential time == work in unit model).
-    let p = unit_sweep(params(25), s("PCE0"), REPS, SEED);
-    let n = unit_sweep(params(25), s("NCE0"), REPS, SEED);
+    let p = pattern_sweep(params(25), s("PCE0"), REPS, SEED);
+    let n = pattern_sweep(params(25), s("NCE0"), REPS, SEED);
     assert!(p.mean_response() < n.mean_response());
 }
 
@@ -60,8 +58,8 @@ fn lesson1_propagation_reduces_work_most_at_low_enabled() {
 fn lesson2_conservative_vs_speculative_tradeoff() {
     // Extra work paid by speculation, relative, at low and high %enabled.
     let extra_at = |pct: u32| {
-        let c = unit_sweep(params(pct), s("PCE100"), REPS, SEED);
-        let sp = unit_sweep(params(pct), s("PSE100"), REPS, SEED);
+        let c = pattern_sweep(params(pct), s("PCE100"), REPS, SEED);
+        let sp = pattern_sweep(params(pct), s("PSE100"), REPS, SEED);
         (sp.mean_work() - c.mean_work()) / c.mean_work()
     };
     let extra_low = extra_at(25);
@@ -72,8 +70,8 @@ fn lesson2_conservative_vs_speculative_tradeoff() {
     );
     assert!(extra_low > 0.10, "at 25% enabled the waste is substantial");
     // Speculation never hurts response time (it only adds overlap).
-    let c = unit_sweep(params(75), s("PCE100"), REPS, SEED);
-    let sp = unit_sweep(params(75), s("PSE100"), REPS, SEED);
+    let c = pattern_sweep(params(75), s("PCE100"), REPS, SEED);
+    let sp = pattern_sweep(params(75), s("PSE100"), REPS, SEED);
     assert!(sp.mean_response() <= c.mean_response() + 1e-9);
 }
 
@@ -84,8 +82,8 @@ fn lesson2_conservative_vs_speculative_tradeoff() {
 fn lesson3_earliest_beats_cheapest_with_propagation() {
     let mut strictly_better = false;
     for p in [20u8, 40, 60, 80] {
-        let e = unit_sweep(params(75), format!("PCE{p}").parse().unwrap(), REPS, SEED);
-        let c = unit_sweep(params(75), format!("PCC{p}").parse().unwrap(), REPS, SEED);
+        let e = pattern_sweep(params(75), format!("PCE{p}").parse().unwrap(), REPS, SEED);
+        let c = pattern_sweep(params(75), format!("PCC{p}").parse().unwrap(), REPS, SEED);
         assert!(
             e.mean_response() <= c.mean_response() * 1.05,
             "Earliest should not lose to Cheapest at {p}%: {} vs {}",
@@ -102,8 +100,8 @@ fn lesson3_earliest_beats_cheapest_with_propagation() {
     );
     // Work is approximately the same for the two heuristics (paper:
     // "consume approximately the same amount of work").
-    let e = unit_sweep(params(75), s("PCE40"), REPS, SEED);
-    let c = unit_sweep(params(75), s("PCC40"), REPS, SEED);
+    let e = pattern_sweep(params(75), s("PCE40"), REPS, SEED);
+    let c = pattern_sweep(params(75), s("PCC40"), REPS, SEED);
     let rel = (e.mean_work() - c.mean_work()).abs() / c.mean_work();
     assert!(rel < 0.10, "work difference between heuristics: {rel:.3}");
 }
@@ -112,8 +110,8 @@ fn lesson3_earliest_beats_cheapest_with_propagation() {
 /// is OFF, Cheapest is the heuristic of choice (it never loses badly).
 #[test]
 fn lesson3_inverse_cheapest_fine_without_propagation() {
-    let e = unit_sweep(params(50), s("NCE0"), REPS, SEED);
-    let c = unit_sweep(params(50), s("NCC0"), REPS, SEED);
+    let e = pattern_sweep(params(50), s("NCE0"), REPS, SEED);
+    let c = pattern_sweep(params(50), s("NCC0"), REPS, SEED);
     assert!(
         c.mean_work() <= e.mean_work() * 1.05,
         "without P, cheapest-first work {} should not exceed earliest {}",
@@ -126,8 +124,8 @@ fn lesson3_inverse_cheapest_fine_without_propagation() {
 /// at nb_rows=4, %enabled=75, with little extra conservative work.
 #[test]
 fn figure6_headline_parallelism_cuts_time() {
-    let seq = unit_sweep(params(75), s("PCE0"), REPS, SEED);
-    let par = unit_sweep(params(75), s("PCE100"), REPS, SEED);
+    let seq = pattern_sweep(params(75), s("PCE0"), REPS, SEED);
+    let par = pattern_sweep(params(75), s("PCE100"), REPS, SEED);
     let reduction = 1.0 - par.mean_response() / seq.mean_response();
     assert!(
         reduction > 0.45,
@@ -152,7 +150,7 @@ fn diameter_controls_parallel_speedup() {
             pct_enabled: 75,
             ..Default::default()
         };
-        unit_sweep(p, s("PCE100"), REPS, SEED).mean_response()
+        pattern_sweep(p, s("PCE100"), REPS, SEED).mean_response()
     };
     let t1 = time_at_rows(1);
     let t4 = time_at_rows(4);
