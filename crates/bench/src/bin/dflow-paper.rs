@@ -1,22 +1,12 @@
-//! `dflow-paper [FIG…]`: recompute the named figures of the paper (all
-//! of `dflow_bench::paper::FIGURES` by default), rewrite their
-//! `paper/<name>.txt`, and print each figure as `unchanged` or its
-//! changed cells — the same diff `tests/paper.rs` fails on.
+//! `dflow-paper`: recompute every figure of the paper
+//! (`dflow_bench::paper::FIGURES`), rewrite its `paper/<name>.txt`, and
+//! print each figure as `unchanged` or its changed cells — the same diff
+//! `tests/paper.rs` fails on.
 
 use dflow_bench::paper::{diff, path, render, FIGURES};
 
 fn main() {
-    let names: Vec<String> = std::env::args().skip(1).collect();
-    for name in &names {
-        if !FIGURES.iter().any(|(figure, _)| figure == name) {
-            let known: Vec<&str> = FIGURES.iter().map(|(figure, _)| *figure).collect();
-            panic!("unknown figure {name:?} (expected one of {known:?})");
-        }
-    }
     for (name, compute) in FIGURES {
-        if !names.is_empty() && !names.iter().any(|n| n == name) {
-            continue;
-        }
         let tables = compute();
         let file = path(name);
         let committed = std::fs::read_to_string(&file).ok();

@@ -4,9 +4,8 @@
 //! Every figure's tables, as [`render`] prints them, are committed as
 //! `paper/<name>.txt` at the repository root. `tests/paper.rs` recomputes
 //! each figure and [`diff`]s it against that file, so a change that moves
-//! any cell fails `cargo test` and names the cell. `dflow-paper [FIG…]`
-//! recomputes the named figures (all by default), rewrites their files and
-//! reports the same diff.
+//! any cell fails `cargo test` and names the cell. `dflow-paper`
+//! recomputes every figure, rewrites its file and reports the same diff.
 //!
 //! | name | what it shows |
 //! |---|---|
@@ -82,7 +81,7 @@ pub fn diff(name: &str, committed: Option<&str>, computed: &[ResultTable]) -> Ve
     let Some(committed) = committed else {
         return vec![format!(
             "{name}: paper/{name}.txt is missing; write it with \
-             `cargo run -p dflow-bench --bin dflow-paper -- {name}`"
+             `cargo run -p dflow-bench --bin dflow-paper`"
         )];
     };
     if committed == render(computed) {
@@ -209,33 +208,56 @@ fn f1_each(reports: &[LoadReport], metric: fn(&LoadReport) -> f64) -> Vec<String
     reports.iter().map(|r| f1(metric(r))).collect()
 }
 
+/// Table 1 as the paper prints it: parameter, value, description.
+const TABLE1: &str = "\
+nb_nodes          | 64        | # of internal nodes
+nb_rows           | [1,16]    | # of schema rows
+%enabled          | [10,100]  | % of enabled nodes
+%enabler          | 50        | % of potential enablers
+%enabling_hop     | 50        | max enabling edge hop (% of columns)
+Min_pred          | 1         | min predicates per condition
+Max_pred          | 4         | max predicates per condition
+%added_data_edges | [-25,+25] | % of data edges added to skeleton
+%data_hop         | 50        | max data edge hop (% of columns)
+module_cost       | [1,5]     | units of cost per module
+num_CPUs          | 4         | # of CPUs in the database
+num_disks         | 10        | # of disks in the database
+unit_CPU_cost     | 1         | units of CPU per execution unit
+unit_IO_cost      | 1         | IO pages per unit execution
+%IO_hit           | 50        | probability of buffer hit
+IO_delay          | 5         | IO delay (ms)";
+
 /// Table 1: the parameter inventory, side by side with the paper's values.
 fn table1() -> Vec<ResultTable> {
     let (p, d) = (PatternParams::default(), DbConfig::default());
-    #[rustfmt::skip]
-    let rows = [
-        ("nb_nodes",          "64",        p.nb_nodes.to_string(),                   "# of internal nodes"),
-        ("nb_rows",           "[1,16]",    format!("{} (sweep)", p.nb_rows),         "# of schema rows"),
-        ("%enabled",          "[10,100]",  format!("{} (sweep)", p.pct_enabled),     "% of enabled nodes"),
-        ("%enabler",          "50",        p.pct_enabler.to_string(),                "% of potential enablers"),
-        ("%enabling_hop",     "50",        p.pct_enabling_hop.to_string(),           "max enabling edge hop (% of columns)"),
-        ("Min_pred",          "1",         p.min_pred.to_string(),                   "min predicates per condition"),
-        ("Max_pred",          "4",         p.max_pred.to_string(),                   "max predicates per condition"),
-        ("%added_data_edges", "[-25,+25]", p.pct_added_data_edges.to_string(),       "% of data edges added to skeleton"),
-        ("%data_hop",         "50",        p.pct_data_hop.to_string(),               "max data edge hop (% of columns)"),
-        ("module_cost",       "[1,5]",     format!("[{},{}]", p.module_cost.0, p.module_cost.1), "units of cost per module"),
-        ("num_CPUs",          "4",         d.num_cpus.to_string(),                   "# of CPUs in the database"),
-        ("num_disks",         "10",        d.num_disks.to_string(),                  "# of disks in the database"),
-        ("unit_CPU_cost",     "1",         d.unit_cpu_cost.to_string(),              "units of CPU per execution unit"),
-        ("unit_IO_cost",      "1",         d.unit_io_pages.to_string(),              "IO pages per unit execution"),
-        ("%IO_hit",           "50",        format!("{:.0}", d.io_hit_prob * 100.0),  "probability of buffer hit"),
-        ("IO_delay",          "5",         format!("{:.0}", d.io_delay_ms),          "IO delay (ms)"),
-    ];
     let mut t = ResultTable::new(
         "Table 1 — simulation parameters (paper vs this implementation)",
         &["parameter", "paper", "here", "description"],
     );
-    for (name, paper, here, description) in rows {
+    for line in TABLE1.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let [name, paper, description] = cells[..] else {
+            unreachable!("{line}")
+        };
+        let here = match name {
+            "nb_nodes" => p.nb_nodes.to_string(),
+            "nb_rows" => format!("{} (sweep)", p.nb_rows),
+            "%enabled" => format!("{} (sweep)", p.pct_enabled),
+            "%enabler" => p.pct_enabler.to_string(),
+            "%enabling_hop" => p.pct_enabling_hop.to_string(),
+            "Min_pred" => p.min_pred.to_string(),
+            "Max_pred" => p.max_pred.to_string(),
+            "%added_data_edges" => p.pct_added_data_edges.to_string(),
+            "%data_hop" => p.pct_data_hop.to_string(),
+            "module_cost" => format!("[{},{}]", p.module_cost.0, p.module_cost.1),
+            "num_CPUs" => d.num_cpus.to_string(),
+            "num_disks" => d.num_disks.to_string(),
+            "unit_CPU_cost" => d.unit_cpu_cost.to_string(),
+            "unit_IO_cost" => d.unit_io_pages.to_string(),
+            "%IO_hit" => format!("{:.0}", d.io_hit_prob * 100.0),
+            "IO_delay" => format!("{:.0}", d.io_delay_ms),
+            _ => unreachable!("{name}"),
+        };
         t.row(vec![name.into(), paper.into(), here, description.into()]);
     }
     vec![t]
@@ -662,7 +684,7 @@ mod tests {
         let lines = diff("fig7", None, &[]);
         assert_eq!(lines.len(), 1);
         assert!(
-            lines[0].contains("cargo run -p dflow-bench --bin dflow-paper -- fig7"),
+            lines[0].contains("paper/fig7.txt is missing; write it with `cargo run -p dflow-bench --bin dflow-paper`"),
             "{lines:?}"
         );
     }
